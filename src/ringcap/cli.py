@@ -342,6 +342,8 @@ def _task_solve(cfg, space, out, rng):
         "residual": res.residual, "converged": res.converged,
         "plateau_nodes": res.diagnostics["plateau_nodes"],
         "unreachable_nodes": res.diagnostics["unreachable_nodes"],
+        "cg_iters": res.diagnostics["cg_iters"],
+        "stop_reason": res.diagnostics["stop_reason"],
     })
     artifacts = ["solve.json"]
     if field_dump:

@@ -9,13 +9,19 @@ endpoint-masses edge mass makes the edge energy consistent with the
 continuum Dirichlet p-energy on grids, so p = 2 capacities converge to
 their classical values.
 
-Minimization is iteratively reweighted least squares: each step solves the
-weighted graph-Laplacian system with edge weights ``c_e |du|^(p-2)``
-(clipped away from 0 and infinity), via diagonally preconditioned
-conjugate gradients at a tolerance slaved to the outer one.  A
-backtracking step guarantees monotone energy descent, which makes the
-scheme safe on both sides of p = 2.  Components of the free region that
-the constraints cannot reach are zeroed and reported, never solved.
+Minimization is a guarded Newton-IRLS.  Each step solves the weighted
+graph-Laplacian system with edge weights ``c_e |du|^(p-2)`` (clipped away
+from 0 and infinity) for a correction of the current potential, by
+diagonally preconditioned conjugate gradients (CG).  The exact Newton step
+is that correction scaled by 1 / (p - 1), so the step length is chosen by
+an exact line search of the convex energy along it, over
+(0, max(1, 1 / (p - 1))]; every accepted step lowers the energy, on both
+sides of p = 2.  At p = 2 the energy is quadratic and the full step is
+taken.  Inner solves are inexact Newton solves: CG stops at a fixed
+fraction of the current residual, with a floor below the outer gradient
+target.  A step that leaves the potential unchanged ends the solve as
+stagnated.  Components of the free region that the constraints cannot
+reach are zeroed and reported, never solved.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
@@ -50,6 +56,7 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-12
+FORCING = 1e-2  # inner CG tolerance relative to the current residual, p != 2
 
 
 @dataclass
@@ -94,7 +101,12 @@ class CapacityResult:
 
     ``value`` is the edge-form p-energy of ``field.u`` (exactly);
     ``residual`` is the final constrained-gradient norm relative to its
-    initial value.
+    initial value.  ``diagnostics`` holds the energy after each iteration
+    (``energy_trace``), the accepted step lengths (``steps``), the CG
+    iterations summed over the solve (``cg_iters``), why the solve ended
+    (``stop_reason``: ``converged``, ``max_iter`` or ``stagnated``, when a
+    step left the potential unchanged), and the ``descent_ok`` and
+    ``range_ok`` checks.
     """
 
     value: float
@@ -109,14 +121,36 @@ def _edge_energy(conductance, du, p):
     return float((conductance * np.abs(du) ** p).sum())
 
 
-def _free_gradient(edges, conductance, u, free_mask, p):
-    """Gradient of the edge energy with respect to free node values."""
-    du = u[edges[:, 0]] - u[edges[:, 1]]
-    flow = p * conductance * np.sign(du) * np.abs(du) ** (p - 1.0)
-    g = np.zeros(u.shape)
-    np.add.at(g, edges[:, 0], flow)
-    np.add.at(g, edges[:, 1], -flow)
-    return g[free_mask]
+def _line_search(c, a, b, p, t_max, slope0):
+    """Step t in (0, t_max] minimizing phi(t) = sum_e c_e |a_e + t b_e|^p.
+
+    phi is convex, so phi' increases: the minimizer is the root of phi', or
+    t_max when phi still descends there.  Newton's method on phi' starts
+    from 1 / (p - 1), the Newton step of the energy at t = 0, and runs
+    inside a bracket that every evaluation shrinks; a Newton step that
+    leaves the bracket is replaced by bisection.  ``slope0`` is phi'(0); a
+    direction that does not descend gives t = 0.
+    """
+    if not slope0 < 0:
+        return 0.0
+    lo, hi = 0.0, t_max
+    t = min(1.0 / (p - 1.0), t_max)
+    for _ in range(30):
+        s = a + t * b
+        cwb = c * np.maximum(np.abs(s), 1e-300) ** (p - 2.0) * b
+        d1 = p * float(cwb @ s)
+        if d1 <= 0:
+            if t == t_max:
+                return t
+            lo = t
+        else:
+            hi = t
+        if abs(d1) <= 1e-3 * -slope0:
+            return t
+        d2 = p * (p - 1.0) * float(cwb @ b)
+        t_new = t - d1 / d2 if d2 > 0 else lo
+        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+    return lo if lo > 0 else t
 
 
 def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResult:
@@ -133,7 +167,13 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
     tol : float
         Convergence requires both a relative energy decrease below tol and
         a constrained-gradient norm below tol (relative to its starting
-        value).  Inner linear solves run at tol / 10.
+        value).  For p != 2 an inner CG solve stops once its residual is
+        below ``FORCING`` times its starting residual, or below tol / 10
+        times the smaller of the right-hand side norm and the initial
+        gradient over p; the second bound lies under the outer target, so
+        CG keeps iterating while the outer test can still fail.  At p = 2
+        it stops below tol / 10 times the right-hand side norm (or the
+        starting residual, if larger).
     max_iter : int
         Cap on reweighting iterations; hitting it leaves
         ``converged=False`` on the result (never an exception).
@@ -196,7 +236,10 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
         "plateau_nodes": int(plateau.sum()),
         "unreachable_nodes": int(unreachable.sum()),
         "energy_trace": [],
-        "backtracks": 0,
+        "backtracks": 0,  # none since the exact line search; kept for readers
+        "steps": [],
+        "cg_iters": 0,
+        "stop_reason": "converged",
     }
 
     if not solve_mask.any():
@@ -211,87 +254,127 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
     free_index[free_ids] = np.arange(free_ids.size, dtype=np.int32)
     nf = free_ids.size
 
-    # classify live edges once: both endpoints free / one free / none
-    ei, ej = e_live[:, 0].copy(), e_live[:, 1].copy()
-    del e_live
+    # Live edges touching a free node, ordered [only i free | both free |
+    # only j free] so that each group is a slice: i is free on [:i_end] and
+    # j on [j_start:].  The other live edges carry a constant energy.
+    fi, fj = free_index[e_live[:, 0]], free_index[e_live[:, 1]]
+    group = np.where(fi >= 0, np.where(fj >= 0, 1, 0), np.where(fj >= 0, 2, 3))
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=4)
+    j_start, i_end, m = counts[0], counts[0] + counts[1], counts[:3].sum()
     c_live = conductance[live]
-    fi, fj = free_index[ei], free_index[ej]
-    touch = (fi >= 0) | (fj >= 0)  # edges not touching a free node are constant
-    ei, ej, c_live, fi, fj = ei[touch], ej[touch], c_live[touch], fi[touch], fj[touch]
-    del touch
-    both = (fi >= 0) & (fj >= 0)
-    half_i = (fi >= 0) & (fj < 0)
-    half_j = (fi < 0) & (fj >= 0)
+    rest = order[m:]
+    e_const = _edge_energy(c_live[rest], u[e_live[rest, 0]] - u[e_live[rest, 1]], p)
+    order = order[:m]
+    ei = e_live[order, 0].astype(np.int32)
+    ej = e_live[order, 1].astype(np.int32)
+    c = c_live[order]
+    fi, fj = fi[order], fj[order]
+    u_fixed_j = u[ej[:j_start]]  # the fixed end of a half-free edge
+    u_fixed_i = u[ei[i_end:]]
+    del e_live, c_live, group, order, rest
 
-    def weighted_solve(weights, x0, rtol):
-        """Solve the weighted Laplacian Dirichlet problem on free nodes."""
-        w = c_live * weights
-        rows = np.concatenate([fi[both], fj[both]])
-        cols = np.concatenate([fj[both], fi[both]])
-        vals = np.concatenate([-w[both], -w[both]])
-        off = coo_matrix((vals, (rows, cols)), shape=(nf, nf)).tocsr()
-        diag = np.zeros(nf)
-        np.add.at(diag, fi[both], w[both])
-        np.add.at(diag, fj[both], w[both])
-        np.add.at(diag, fi[half_i], w[half_i])
-        np.add.at(diag, fj[half_j], w[half_j])
-        rhs = np.zeros(nf)
-        np.add.at(rhs, fi[half_i], w[half_i] * u[ej[half_i]])
-        np.add.at(rhs, fj[half_j], w[half_j] * u[ei[half_j]])
-        lap = off + coo_matrix((diag, (np.arange(nf), np.arange(nf))),
-                               shape=(nf, nf)).tocsr()
-        inv_diag = 1.0 / np.maximum(diag, 1e-300)
-        precond = LinearOperator((nf, nf), matvec=lambda x: inv_diag * x)
-        sol, info = cg(lap, rhs, x0=x0, rtol=rtol, maxiter=50 * int(np.sqrt(nf) + 100),
-                       M=precond)
-        return sol, info
+    # Free-node CSR pattern, built once: off-diagonal entries from the
+    # both-free edges, then the diagonal.  ``slot`` maps each entry to its
+    # place in ``data`` (repeated edges share a slot and are summed).
+    fib, fjb = fi[j_start:i_end], fj[j_start:i_end]
+    diag_ids = np.arange(nf, dtype=np.int64)
+    keys = np.concatenate((fib.astype(np.int64) * nf + fjb,
+                           fjb.astype(np.int64) * nf + fib,
+                           diag_ids * nf + diag_ids))
+    keys, slot = np.unique(keys, return_inverse=True)
+    nnz = keys.size
+    slot = slot.astype(np.int32)
+    lap = csr_matrix((np.zeros(nnz), (keys % nf).astype(np.int32),
+                      np.searchsorted(keys, np.arange(nf + 1) * nf).astype(np.int32)),
+                     shape=(nf, nf))
+    del fib, fjb, diag_ids, keys
+
+    def assemble(weights):
+        """Refill the weighted Laplacian, its diagonal and right-hand side."""
+        w = c * weights
+        diag = (np.bincount(fi[:i_end], w[:i_end], nf)
+                + np.bincount(fj[j_start:], w[j_start:], nf))
+        wb = w[j_start:i_end]
+        lap.data = np.bincount(slot, np.concatenate((-wb, -wb, diag)), nnz)
+        rhs = (np.bincount(fi[:j_start], w[:j_start] * u_fixed_j, nf)
+               + np.bincount(fj[i_end:], w[i_end:] * u_fixed_i, nf))
+        return diag, rhs
+
+    def edge_state(du):
+        """Energy, free-node gradient and IRLS weight shape at edge slopes du."""
+        power = np.maximum(np.abs(du), 1e-300) ** (p - 2.0)
+        flow = p * c * power * du
+        energy = e_const + float(flow @ du) / p
+        grad = (np.bincount(fi[:i_end], flow[:i_end], nf)
+                - np.bincount(fj[j_start:], flow[j_start:], nf))
+        return energy, grad, np.clip(power, WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
+
+    def count_cg(_xk):
+        diagnostics["cg_iters"] += 1
 
     rtol = max(tol / 10.0, 1e-13)
-    du = u[edges[:, 0]] - u[edges[:, 1]]
-    energy = _edge_energy(conductance, du, p)
-    g0 = np.abs(_free_gradient(edges, conductance, u, solve_mask, p)).max()
-    g_scale = max(g0, 1e-300)
+    # Newton forcing of the inner solves; at p = 2 one solve is exact.
+    eta = rtol if p == 2 else FORCING
+    t_max = max(1.0, 1.0 / (p - 1.0))
+    maxiter = 50 * int(np.sqrt(nf) + 100)
+    x = u[free_ids]
+    du = u[ei] - u[ej]
+    energy, grad, _ = edge_state(du)
+    shape = np.ones(m)  # harmonic initialization
+    g_scale = max(np.abs(grad).max(), 1e-300)
     diagnostics["energy_trace"].append(energy)
 
     converged = False
     residual = 1.0
     iterations = 0
-    x = u[free_ids]
     for iterations in range(1, max_iter + 1):
-        s = np.abs(u[ei] - u[ej])
-        if iterations == 1:
-            shape = np.ones_like(s)  # harmonic initialization
-        else:
-            s_eff = np.maximum(s, 1e-300)
-            shape = np.clip(s_eff ** (p - 2.0), WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
-        x_new, _ = weighted_solve(shape, x, rtol)
+        # Correction of the IRLS step: L_w delta = b_w - L_w x.  Since
+        # L_w x - b_w = grad / p, the floor rtol * g_scale / p keeps CG
+        # iterating for as long as the outer gradient test can still fail.
+        diag, rhs = assemble(shape)
+        atol = rtol * np.linalg.norm(rhs)
+        if p != 2:
+            atol = min(atol, rtol * g_scale / p)
+        inv_diag = 1.0 / np.maximum(diag, 1e-300)
+        precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)
+        delta, _ = cg(lap, rhs - lap @ x, rtol=eta, atol=atol, maxiter=maxiter,
+                      M=precond, callback=count_cg)
 
-        candidate = u.copy()
-        candidate[free_ids] = x_new
-        du_c = candidate[edges[:, 0]] - candidate[edges[:, 1]]
-        energy_new = _edge_energy(conductance, du_c, p)
-        step = 1.0
-        while energy_new > energy * (1.0 + 1e-14) and step > 1e-12:
-            step *= 0.5
-            diagnostics["backtracks"] += 1
-            candidate[free_ids] = x + step * (x_new - x)
-            du_c = candidate[edges[:, 0]] - candidate[edges[:, 1]]
-            energy_new = _edge_energy(conductance, du_c, p)
-        if energy_new > energy * (1.0 + 1e-14):
-            candidate[free_ids] = x  # stagnation: keep previous iterate
-            energy_new = energy
+        if p == 2:
+            t = 1.0  # the energy is quadratic and delta its minimizer
         else:
-            x = candidate[free_ids]
-        u = candidate
+            ddu = np.zeros(m)
+            ddu[:i_end] = delta[fi[:i_end]]
+            ddu[j_start:] -= delta[fj[j_start:]]
+            t = _line_search(c, du, ddu, p, t_max, float(grad @ delta))
+        x_new = x + t * delta
+        energy_new = energy
+        moved = not np.array_equal(x_new, x)
+        if moved:
+            u[free_ids] = x_new
+            du_new = u[ei] - u[ej]
+            energy_try, grad_new, shape_new = edge_state(du_new)
+            moved = energy_try <= energy * (1.0 + 1e-14)
+            if moved:
+                x, du, grad, shape = x_new, du_new, grad_new, shape_new
+                energy_new = energy_try
+                diagnostics["steps"].append(t)
+            else:
+                u[free_ids] = x  # rounding made the step ascend; keep x
         diagnostics["energy_trace"].append(energy_new)
 
-        g_norm = np.abs(_free_gradient(edges, conductance, u, solve_mask, p)).max()
-        residual = g_norm / g_scale
+        residual = np.abs(grad).max() / g_scale
         rel_dec = (energy - energy_new) / max(energy, 1e-300)
         energy = energy_new
         if rel_dec < tol and residual < tol:
             converged = True
             break
+        if not moved:
+            diagnostics["stop_reason"] = "stagnated"
+            break
+    else:
+        diagnostics["stop_reason"] = "max_iter"
 
     trace = diagnostics["energy_trace"]
     descent_ok = all(b <= a * (1.0 + 1e-12) + 1e-300 for a, b in zip(trace, trace[1:]))

@@ -141,6 +141,8 @@ def test_solve_matches_the_line_value(tmp_path):
     # two unit chains of length R - r in series with the grounded tail
     assert payload["value"] == pytest.approx(2.0 / 0.8, rel=1e-6)
     assert payload["converged"]
+    assert payload["stop_reason"] == "converged"
+    assert payload["cg_iters"] > 0
     with open(out / "field.csv") as fh:
         us = [float(row["u"]) for row in csv.DictReader(fh)]
     assert max(us) <= 1 + 1e-9 and min(us) >= -1e-9

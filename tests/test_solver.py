@@ -19,6 +19,7 @@ from ringcap import (
     relative_capacity,
     ring_condenser,
     solve_condenser,
+    solver,
     verify_sandwich,
 )
 
@@ -150,6 +151,64 @@ def test_nonconvergence_is_flagged_not_raised(patch2):
     res = relative_capacity(patch2, c, 0.15, 0.5, 3.5, tol=1e-12, max_iter=1)
     assert not res.converged
     assert np.isfinite(res.value) and res.value > 0
+    assert res.diagnostics["stop_reason"] == "max_iter"
+
+
+def test_unchanged_iterate_stops_as_stagnated(patch2, monkeypatch):
+    def zero_correction(A, b, **kwargs):
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(solver, "cg", zero_correction)
+    res = relative_capacity(patch2, origin_node(patch2), 0.15, 0.5, 3.0)
+    assert not res.converged
+    assert res.diagnostics["stop_reason"] == "stagnated"
+    assert res.iterations <= 2
+    assert res.diagnostics["steps"] == []
+
+
+@pytest.mark.parametrize("p, max_iters, reference", [
+    (1.5, 12, 2.718505305651),
+    (3.0, 8, 10.109345616710),
+    (4.0, 8, 23.364853761701),
+])
+def test_line_search_takes_few_steps_without_backtracking(patch2, p, max_iters,
+                                                          reference):
+    # references: the halving-backtrack solver at the same tolerance, which
+    # took 26 (p = 1.5) and 19 (p = 4, 18 backtracks) iterations
+    res = relative_capacity(patch2, origin_node(patch2), 0.15, 0.5, p, tol=1e-8)
+    d = res.diagnostics
+    assert res.converged and d["stop_reason"] == "converged"
+    assert res.iterations <= max_iters
+    assert d["backtracks"] == 0
+    assert len(d["steps"]) == res.iterations
+    assert all(0 < t <= max(1.0, 1.0 / (p - 1.0)) for t in d["steps"])
+    assert d["cg_iters"] > 0
+    assert res.value == pytest.approx(reference, rel=1e-6)
+
+
+def test_harmonic_solve_is_one_full_step(patch2):
+    res = relative_capacity(patch2, origin_node(patch2), 0.15, 0.5, 2.0, tol=1e-8)
+    # the second iteration confirms convergence without moving the iterate
+    assert res.converged and res.iterations == 2
+    assert res.diagnostics["steps"] == [1.0]
+
+
+def test_p15_stall_case_converges():
+    # At p = 1.5 an inner-solve floor of tol / 10 of the right-hand side
+    # lay above the outer gradient target: CG returned after 0 iterations
+    # from outer iteration 17 on and the solve ran out its 100 iterations
+    # with the residual stuck at 1.33e-6.
+    sp = build_euclidean_grid(2, 1.05, 0.008)
+    res = relative_capacity(sp, origin_node(sp), 0.4, 1.0, 1.5, tol=1e-6)
+    assert res.converged and res.diagnostics["stop_reason"] == "converged"
+    assert res.iterations < 100
+    assert res.value == pytest.approx(5.6004674072, rel=1e-8)
+
+
+def test_p15_near_stall_radius_converges(grid2_fine):
+    res = relative_capacity(grid2_fine, origin_node(grid2_fine), 0.3945, 1.0, 1.5,
+                            tol=1e-6)
+    assert res.converged and res.diagnostics["stop_reason"] == "converged"
 
 
 def test_sandwich_report_below_regime(grid3):
