@@ -173,10 +173,7 @@ def riesz_potential(space, field, node, center, r, p) -> float:
     if ball.size == 0:
         return 0.0
     dx = space.distances_from(node)
-    order = np.argsort(dx, kind="stable")
-    cummass = np.cumsum(space.mass[order])
-    idx = np.searchsorted(dx[order], dx[ball], side="left") - 1
-    ball_mass_at = cummass[idx]
+    ball_mass_at = space.ball_masses(node, dx[ball])
     if np.any(ball_mass_at <= 0):
         raise ValueError("zero-mass ball encountered in the potential sum")
     terms = field.lip[ball] ** p * dx[ball] / ball_mass_at * space.mass[ball]

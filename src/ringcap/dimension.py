@@ -88,12 +88,7 @@ def doubling_constant(space, sample_nodes, r_max, n_radii=12) -> float:
     radii = np.geomspace(floor, r_max / 2.0, n_radii)
     best = 0.0
     for x in sample_nodes:
-        d = space.distances_from(int(x))
-        order = np.argsort(d, kind="stable")
-        cummass = np.cumsum(space.mass[order])
-        d_sorted = d[order]
-        inner = cummass[np.searchsorted(d_sorted, radii, side="left") - 1]
-        outer = cummass[np.searchsorted(d_sorted, 2.0 * radii, side="left") - 1]
+        inner, outer = space.ball_masses(int(x), [radii, 2.0 * radii])
         if np.any(inner <= 0):
             raise ValueError(f"zero-mass ball at node {int(x)}")
         best = max(best, float((outer / inner).max()))
@@ -127,19 +122,10 @@ def pointwise_dimension(space, node, radii) -> PowerLawFit:
         raise ValueError("radii must span at least one decade")
     if radii[0] < _radius_floor(space) * (1.0 - 1e-12):
         raise ValueError("radii below five grid steps are unreliable")
-    masses = _ball_masses(space, int(node), radii)
+    masses = space.ball_masses(int(node), radii)
     if np.any(masses <= 0):
         raise ValueError("empty or massless ball in the radius sweep")
     return fit_power_law(radii, masses)
-
-
-def _ball_masses(space, node, radii):
-    d = space.distances_from(node)
-    order = np.argsort(d, kind="stable")
-    cummass = np.cumsum(space.mass[order])
-    idx = np.searchsorted(d[order], radii, side="left") - 1
-    out = np.where(idx >= 0, cummass[np.maximum(idx, 0)], 0.0)
-    return out
 
 
 @dataclass
@@ -180,7 +166,7 @@ def check_volume_bounds(space, node, r_ref, q_local, q_point,
     ref_mass = space.ball_mass(node, r_ref)
     if ref_mass <= 0:
         raise ValueError("reference ball has zero mass")
-    masses = _ball_masses(space, node, radii)
+    masses = space.ball_masses(node, radii)
     if np.any(masses <= 0):
         raise ValueError("zero-mass ball in radius sweep")
     ratios = masses / ref_mass
@@ -220,7 +206,7 @@ def ahlfors_regularity(space, q, sample_nodes, radii) -> AhlforsReport:
         raise ValueError("radii must be positive")
     lo, hi = np.inf, 0.0
     for x in sample_nodes:
-        masses = _ball_masses(space, int(x), radii)
+        masses = space.ball_masses(int(x), radii)
         if np.any(masses <= 0):
             raise ValueError(f"zero-mass ball at node {int(x)}")
         vals = masses / radii**q
@@ -272,7 +258,7 @@ def analyze_dimension(space, sample_nodes, r_max, point_nodes=None,
                                        radii=radii)
         lo_c = min(lo_c, sandwich.c_lower)
         hi_c = max(hi_c, sandwich.c_upper)
-        masses = _ball_masses(space, int(x), radii)
+        masses = space.ball_masses(int(x), radii)
         report.samples.extend(
             (int(x), float(r), float(m)) for r, m in zip(radii, masses)
         )

@@ -8,6 +8,8 @@ import pytest
 from conftest import origin_node
 from oracles import chain_capacity, radial_ring_capacity
 from ringcap import (
+    DiscreteSpace,
+    SpaceParams,
     build_euclidean_grid,
     estimate_ring,
     field_from_values,
@@ -281,3 +283,15 @@ def test_singleton_validation(line_fine):
         singleton_capacity_limit(line_fine, c, 2.0, 0.1, [0.2, 0.15])
     with pytest.raises(ValueError):
         singleton_capacity_limit(line_fine, c, 2.0, 1.0, [0.2, 0.04])  # under 5h
+
+
+def test_potential_rejects_a_coincident_node():
+    # nodes 1 and 2 share x = 0.1, so B(x_1, d(x_1, x_2)) = B(x_1, 0) is
+    # empty; the potential must raise instead of reading the total mass
+    coords = np.array([[0.0], [0.1], [0.1], [0.2], [0.3]])
+    edges = [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]]
+    sp = DiscreteSpace(coords, np.ones(5), edges, np.full(5, 0.1), "euclidean",
+                       SpaceParams(resolution=0.1))
+    fld = field_from_values(sp, np.array([1.0, 0.5, 0.5, 0.25, 0.0]))
+    with pytest.raises(ValueError):
+        riesz_potential(sp, fld, 1, 0, 0.35, 2.0)

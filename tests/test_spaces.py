@@ -1,9 +1,11 @@
 """Builders, metrics, measures, and the flat-file format."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from conftest import origin_node
 from oracles import ball_volume, koranyi_ball_volume, weighted_ball_mass
@@ -112,6 +114,104 @@ def test_unit_step_line_has_three_nodes(line3):
     # half-open boundary cells: endpoint cells are clipped to the box
     assert np.array_equal(np.sort(line3.mass), [0.5, 0.5, 1.0])
     assert line3.total_mass == 2.0
+
+
+# ----------------------------------------------------------------------
+# distance rows: one cached, read-only row per centre
+# ----------------------------------------------------------------------
+
+def _gauge_row_reference(coords, c):
+    """Gauge distances from node c, written out as the pairwise formula."""
+    a = np.broadcast_to(coords[c], coords.shape)
+    dx = coords[:, 0] - a[:, 0]
+    dy = coords[:, 1] - a[:, 1]
+    dt = coords[:, 2] - a[:, 2] + 0.5 * (a[:, 1] * coords[:, 0] - a[:, 0] * coords[:, 1])
+    z2 = dx * dx + dy * dy
+    return (z2 * z2 + 16.0 * dt * dt) ** 0.25
+
+
+def _row_reference(space, c):
+    n = space.n_nodes
+    if space.metric == "euclidean":
+        return space._pair_distance(np.full(n, c), np.arange(n))
+    if space.metric == "koranyi":
+        return _gauge_row_reference(space.coords, c)
+    return dijkstra(space._graph(), directed=False, indices=c)
+
+
+def _own_bytes(space):
+    return sum(a.nbytes for a in (space.coords, space.mass, space.edges,
+                                  space.edge_lengths))
+
+
+@pytest.mark.parametrize("name", ["grid2", "heis_probe", "glued2"])
+def test_distance_row_is_cached_exact_and_read_only(request, name):
+    space = request.getfixturevalue(name)
+    for c in (0, space.n_nodes // 3, space.n_nodes - 1):
+        row = space.distances_from(c)
+        assert space.distances_from(c) is row
+        ref = _row_reference(space, c)
+        assert row.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["grid2", "heis_probe", "glued2"])
+def test_row_cache_stays_within_the_space_bytes(request, name):
+    space = request.getfixturevalue(name)
+    budget = _own_bytes(space)
+    held = budget // (8 * space.n_nodes)
+    assert held >= 2
+    centres = np.linspace(0, space.n_nodes - 1, held + 3).astype(int)
+    rows = [space.distances_from(int(c)) for c in centres]
+    assert sum(r.nbytes for r in space._rows.values()) <= budget
+    assert len(space._rows) == held
+    assert space.distances_from(int(centres[-1])) is rows[-1]
+    assert space.distances_from(int(centres[0])) is not rows[0]  # evicted
+
+
+@pytest.mark.parametrize("kind", ["gauge", "grid2"])
+def test_distance_row_memory(kind):
+    # one uncached row used to peak at 14 row sizes (gauge) and 7 (grid)
+    if kind == "gauge":
+        space = build_heisenberg_grid(0.66, 0.03, t_half_extent=0.12,
+                                      t_step=0.0012, with_edges=False)
+    else:
+        space = build_euclidean_grid(2, 1.05, 0.01)
+    row_bytes = 8 * space.n_nodes
+    c = space.n_nodes // 2
+    tracemalloc.start()
+    try:
+        space.distances_from(c)
+        fresh_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        space.distances_from(c)
+        cached_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fresh_peak <= 6.5 * row_bytes
+    assert cached_peak <= 1e-3 * row_bytes
+
+
+@pytest.mark.parametrize("name", ["weighted2", "heis_probe", "glued2"])
+def test_ball_masses_match_brute_force(request, name):
+    space = request.getfixturevalue(name)
+    c = space.n_nodes // 2
+    d = space.distances_from(c)
+    exact = np.unique(d)[[1, 5, 40]]  # node distances: ties are excluded
+    radii = np.array([0.3, 0.0, exact[2], 0.1, exact[0], 0.3, exact[1],
+                      2.0 * d.max(), 0.1])
+    got = space.ball_masses(c, radii)
+    want = np.array([space.mass[d < r].sum() for r in radii])
+    assert got.shape == radii.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got[1] == 0.0
+    assert got[4] < space.mass[d <= exact[0]].sum()
+    assert got[7] == pytest.approx(space.total_mass, rel=1e-12)
+    assert np.array_equal(space.ball_masses(c, radii.reshape(3, 3)), got.reshape(3, 3))
+    with pytest.raises(ValueError):
+        space.ball_masses(c, [0.1, -0.1])
 
 
 # ----------------------------------------------------------------------
