@@ -13,15 +13,13 @@ provided for
 
 Metrics are evaluated lazily, one row of distances from a centre at a
 time: closed-form for the Euclidean and gauge cases, Dijkstra over the edge
-graph for glued spaces.  Every space keeps its recent rows in one
-least-recently-used cache whose size is bounded by the space's own arrays,
-and hands them out read-only.  Ball masses for any set of radii come from
+graph for glued spaces.  Every space keeps the row of its latest query and
+hands it out read-only, so the calls that re-query one centre share a row.  Ball masses for any set of radii come from
 one pass over a row, without sorting it (:meth:`DiscreteSpace.ball_masses`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,11 +120,7 @@ class DiscreteSpace:
         self.edge_lengths = edge_lengths
         self.metric = metric
         self.params = params
-        # least-recently-used distance rows; together they take at most the
-        # bytes of the four arrays above, which hold at least two rows
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        own_bytes = sum(a.nbytes for a in (coords, mass, edges, edge_lengths))
-        self._max_rows = own_bytes // (8 * n)
+        self._row = None  # (center, distance row) of the latest query
         self._adjacency = None
         self._edge_mass = None
         if metric != "path" and edges.size:
@@ -179,36 +173,35 @@ class DiscreteSpace:
             return koranyi_distance(self.coords[i], self.coords[j])
         raise RuntimeError("path metric has no closed form")
 
-    def distances_from(self, center: int) -> np.ndarray:
-        """Distances from one node to every node, as a read-only cached row.
+    def _distances_to_point(self, point) -> np.ndarray:
+        """Closed-form distances from a coordinate point to every node: the
+        gauge for gauge spaces, the Euclidean coordinate distance otherwise."""
+        if self.metric == "koranyi":
+            return koranyi_distance(point, self.coords)
+        diff = self.coords - point
+        np.multiply(diff, diff, out=diff)
+        return np.sqrt(diff.sum(axis=1))
 
-        Rows live in a least-recently-used cache per space.  Its total size
-        stays within the bytes of the space's ``coords``, ``mass``, ``edges``
-        and ``edge_lengths`` arrays (at least two rows), and the row of the
-        latest query is always kept, so a repeated query costs nothing.  The
-        row is shared with every other caller: writing into it raises
-        ``ValueError``; copy it to modify it.
+    def distances_from(self, center: int) -> np.ndarray:
+        """Distances from one node to every node, as a read-only row.
+
+        The space keeps the row of its latest query, so querying the same
+        centre again costs nothing; a query for another centre drops it
+        first.  The row is shared with every other caller: writing into it
+        raises ``ValueError``; copy it to modify it.
         """
         center = int(center)
         if not 0 <= center < self.n_nodes:
             raise ValueError("node id out of range")
-        row = self._rows.get(center)
-        if row is not None:
-            self._rows.move_to_end(center)
-            return row
-        # evict first, so the new row never stands beside a full cache
-        while len(self._rows) >= self._max_rows:
-            self._rows.popitem(last=False)
+        if self._row is not None and self._row[0] == center:
+            return self._row[1]
+        self._row = None  # free the old row before the new one is built
         if self.metric == "path":
             row = dijkstra(self._graph(), directed=False, indices=center)
-        elif self.metric == "koranyi":
-            row = koranyi_distance(self.coords[center], self.coords)
         else:
-            diff = self.coords - self.coords[center]
-            np.multiply(diff, diff, out=diff)
-            row = np.sqrt(diff.sum(axis=1))
+            row = self._distances_to_point(self.coords[center])
         row.flags.writeable = False
-        self._rows[center] = row
+        self._row = (center, row)
         return row
 
     def distance(self, i: int, j: int) -> float:
@@ -274,12 +267,7 @@ class DiscreteSpace:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.coords.shape[1],):
             raise ValueError("point dimension mismatch")
-        if self.metric == "koranyi":
-            d = koranyi_distance(np.broadcast_to(point, self.coords.shape), self.coords)
-        else:
-            diff = self.coords - point
-            d = np.sqrt((diff * diff).sum(axis=1))
-        return int(np.argmin(d))
+        return int(np.argmin(self._distances_to_point(point)))
 
 
 # ----------------------------------------------------------------------
