@@ -53,9 +53,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows):
+def _format_column(column):
+    """Strings of one column, each as ``_fmt`` would write its entry."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(_FMT.__mod__, column.tolist())
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(_fmt, column)
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length ``columns`` under ``header``, one CSV row per entry.
+
+    Float and integer arrays are formatted in one pass each; other columns
+    (lists, tuples, bool or object arrays) go entry by entry through
+    ``_fmt``.  The bytes are those of formatting every entry with ``_fmt``.
+    """
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += map(",".join, zip(*map(_format_column, columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -228,7 +243,7 @@ def _task_dimension(cfg, space, out, rng):
     }
     _write_json(out / "dimension.json", payload)
     _write_csv(out / "dimension_samples.csv", ["node", "radius", "ball_mass"],
-               report.samples)
+               zip(*report.samples))
     return ["dimension.json", "dimension_samples.csv"], {}, True
 
 
@@ -277,7 +292,7 @@ def _task_bounds(cfg, space, out, rng):
                          est.constants["c_lower"], est.constants["c_upper"], mass])
     _write_csv(out / "bounds.csv",
                ["r", "R", "p", "regime", "lower", "upper", "c_lower", "c_upper",
-                "mass_inner"], rows)
+                "mass_inner"], zip(*rows))
     return ["bounds.csv"], extras, True
 
 
@@ -309,10 +324,9 @@ def _task_profile_energy(cfg, space, out, rng):
         raise ConfigError(f"task: {exc}") from exc
     _write_csv(out / "profile_energy.csv",
                ["kind", "r", "R", "p", "k0", "energy_edge", "energy_node"],
-               [[kind, r, big_r, p, shells.k0, split.edge, split.node]])
+               [[kind], [r], [big_r], [p], [shells.k0], [split.edge], [split.node]])
     _write_csv(out / "profile_shells.csv", ["shell", "nodes", "energy"],
-               [[k, shells.counts[k], shells.energies[k]]
-                for k in range(shells.k0 + 1)])
+               [np.arange(shells.k0 + 1), shells.counts, shells.energies])
     return ["profile_energy.csv", "profile_shells.csv"], {}, True
 
 
@@ -321,6 +335,13 @@ def _solve_params(cfg):
     max_iter = int(_number(_take(cfg, "max_iter", "task", default=100),
                            "max_iter", minimum=1))
     return tol, max_iter
+
+
+def _solve_record(res):
+    """What one solve did, for solve.json and the manifest."""
+    return {"iterations": res.iterations,
+            "cg_iters": res.diagnostics["cg_iters"],
+            "stop_reason": res.diagnostics["stop_reason"]}
 
 
 def _task_solve(cfg, space, out, rng):
@@ -338,17 +359,16 @@ def _task_solve(cfg, space, out, rng):
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
     _write_json(out / "solve.json", {
-        "value": res.value, "iterations": res.iterations,
+        "value": res.value,
         "residual": res.residual, "converged": res.converged,
         "plateau_nodes": res.diagnostics["plateau_nodes"],
         "unreachable_nodes": res.diagnostics["unreachable_nodes"],
-        "cg_iters": res.diagnostics["cg_iters"],
-        "stop_reason": res.diagnostics["stop_reason"],
+        **_solve_record(res),
     })
     artifacts = ["solve.json"]
     if field_dump:
         _write_csv(out / "field.csv", ["id", "u"],
-                   list(enumerate(res.field.u)))
+                   [np.arange(space.n_nodes), res.field.u])
         artifacts.append("field.csv")
     return artifacts, {}, res.converged
 
@@ -405,11 +425,11 @@ def _task_green(cfg, space_spec, out, rng):
         levels_rep = check_level_sets(space, sf, pairs, tol=tol)
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
-    _write_csv(out / "green_field.csv", ["id", "G"], list(enumerate(sf.values)))
-    rows = [[a, b,
-             "" if cap is None else cap,
-             "" if ratio is None else ratio] for a, b, cap, ratio in levels_rep.entries]
-    _write_csv(out / "green_levels.csv", ["a", "b", "capacity", "ratio"], rows)
+    _write_csv(out / "green_field.csv", ["id", "G"],
+               [np.arange(space.n_nodes), sf.values])
+    _write_csv(out / "green_levels.csv", ["a", "b", "capacity", "ratio"],
+               zip(*[["" if v is None else v for v in entry]
+                     for entry in levels_rep.entries]))
     artifacts = ["green_field.csv", "green_levels.csv"]
     converged = sf.result.converged
     if refine is not None:
@@ -434,7 +454,13 @@ def _task_green(cfg, space_spec, out, rng):
             "bounded_change": trend.bounded_change,
         })
         artifacts.append("green_trend.json")
-    return artifacts, {"level_notices": levels_rep.notices}, converged
+    extras = {
+        "level_notices": levels_rep.notices,
+        "pole_solve": _solve_record(sf.result),
+        "level_solves": [None if res is None else _solve_record(res)
+                         for res in levels_rep.results],
+    }
+    return artifacts, extras, converged
 
 
 def _task_singleton(cfg, space, out, rng):
@@ -450,7 +476,7 @@ def _task_singleton(cfg, space, out, rng):
     except ValueError as exc:
         raise ConfigError(f"task: {exc}") from exc
     _write_csv(out / "singleton.csv", ["r", "capacity"],
-               list(zip(rep.radii, rep.capacities)))
+               [rep.radii, rep.capacities])
     _write_json(out / "singleton.json", {
         "limit_estimate": rep.limit_estimate,
         "last_relative_change": rep.last_relative_change,
@@ -491,7 +517,7 @@ def _task_regime_sweep(cfg, space, out, rng):
                         res.iterations, res.converged])
     _write_csv(out / "sweep.csv",
                ["r", "R", "p", "regime", "capacity", "lower", "upper",
-                "iterations", "converged"], rows)
+                "iterations", "converged"], zip(*rows))
     return ["sweep.csv"], extras, all_conv
 
 

@@ -94,12 +94,15 @@ class LevelSetReport:
     ``entries`` rows are (a, b, capacity, ratio) with ratio =
     cap * (b - a)^(p - 1), or (a, b, None, None) for pairs whose level
     sets were empty on the grid; those are listed in ``notices``.
+    ``results`` holds the ``CapacityResult`` of each entry's solve, or
+    None for a skipped pair.
     """
 
     entries: list
     notices: list
     band: float
     passed: bool
+    results: list
 
 
 def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
@@ -109,9 +112,15 @@ def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
     The pair (0, max G) reproduces the defining condenser up to the
     discrete plate, so its ratio is forced to 1; other pairs must stay in
     a band of width ``band_limit`` around it.
+
+    Each level condenser is solved from clip((G - a) / (b - a), 0, 1),
+    which is already close to its minimizer: for the pair (0, max G) it is
+    the pole potential up to rounding, so at p = 2 that solve normally ends
+    without a CG iteration.  Convergence is judged against the cold-start
+    gradient, as in every solve, so the guess does not move the target.
     """
     g = sf.values
-    entries, notices, ratios = [], [], []
+    entries, notices, ratios, results = [], [], [], []
     for a, b in pairs:
         a, b = float(a), float(b)
         if not 0.0 <= a < b:
@@ -121,21 +130,25 @@ def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
         if upper.size == 0:
             notices.append(f"level {b:g} above the pole value; pair skipped")
             entries.append((a, b, None, None))
+            results.append(None)
             continue
         if lower.size == upper.size:
             notices.append(f"levels {a:g}..{b:g} leave no free nodes; pair skipped")
             entries.append((a, b, None, None))
+            results.append(None)
             continue
-        res = solve_condenser(space, Condenser(upper, lower), sf.p, tol=tol)
+        res = solve_condenser(space, Condenser(upper, lower), sf.p, tol=tol,
+                              x0=np.clip((g - a) / (b - a), 0.0, 1.0))
         ratio = res.value * (b - a) ** (sf.p - 1.0)
         entries.append((a, b, res.value, ratio))
+        results.append(res)
         ratios.append(ratio)
     if ratios:
         band = float(max(ratios) / min(ratios))
         passed = band <= band_limit
     else:
         band, passed = np.inf, False
-    return LevelSetReport(entries, notices, band, passed)
+    return LevelSetReport(entries, notices, band, passed, results)
 
 
 @dataclass
@@ -166,16 +179,12 @@ def blowup_trend(levels, p, q_center, rho_steps=3.0, tol=1e-6) -> TrendReport:
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least three resolution levels")
-    hs, gmax = [], []
-    for space, domain, center in levels:
-        h = space.params.resolution
-        sf = build_green(space, domain, center, p, rho=rho_steps * h, tol=tol)
-        hs.append(h)
-        gmax.append(sf.max_value)
-    hs = np.asarray(hs)
-    gmax = np.asarray(gmax)
+    hs = np.array([space.params.resolution for space, _, _ in levels])
     if not np.all(np.diff(hs) < 0):
         raise ValueError("resolution levels must be strictly refining")
+    gmax = np.array([
+        build_green(space, domain, center, p, rho=rho_steps * h, tol=tol).max_value
+        for (space, domain, center), h in zip(levels, hs)])
     which = regime(p, q_center)
     inv = 1.0 / hs
     power = fit_power_law(inv, gmax)

@@ -17,11 +17,18 @@ is that correction scaled by 1 / (p - 1), so the step length is chosen by
 an exact line search of the convex energy along it, over
 (0, max(1, 1 / (p - 1))]; every accepted step lowers the energy, on both
 sides of p = 2.  At p = 2 the energy is quadratic and the full step is
-taken.  Inner solves are inexact Newton solves: CG stops at a fixed
-fraction of the current residual, with a floor below the outer gradient
-target.  A step that leaves the potential unchanged ends the solve as
-stagnated.  Components of the free region that the constraints cannot
-reach are zeroed and reported, never solved.
+taken, after which the solve ends as soon as the gradient test passes: one
+linear solve is exact there.  Inner solves are inexact Newton solves: CG
+stops at a fixed fraction of the current residual, with a floor below the
+outer gradient target.  A step that leaves the potential unchanged ends the
+solve as stagnated.  Components of the free region that the constraints
+cannot reach are zeroed and reported, never solved.
+
+A solve may start from a guess ``x0`` (a nearly optimal potential, say),
+clipped to [0, 1] on the free nodes.  Its convergence is still judged
+against the gradient at the cold start, where the potential is the
+indicator of the inner plate, so a guess moves neither the target nor the
+result beyond the tolerance.
 """
 
 from __future__ import annotations
@@ -100,10 +107,10 @@ class CapacityResult:
     """Minimizer and value of one condenser problem.
 
     ``value`` is the edge-form p-energy of ``field.u`` (exactly);
-    ``residual`` is the final constrained-gradient norm relative to its
-    initial value.  ``diagnostics`` holds the energy after each iteration
-    (``energy_trace``), the accepted step lengths (``steps``), the CG
-    iterations summed over the solve (``cg_iters``), why the solve ended
+    ``residual`` is the final constrained-gradient max-norm relative to its
+    value at the cold start.  ``diagnostics`` holds the energy after each
+    iteration (``energy_trace``), the accepted step lengths (``steps``), the
+    CG iterations summed over the solve (``cg_iters``), why the solve ended
     (``stop_reason``: ``converged``, ``max_iter`` or ``stagnated``, when a
     step left the potential unchanged), and the ``descent_ok`` and
     ``range_ok`` checks.
@@ -153,7 +160,8 @@ def _line_search(c, a, b, p, t_max, slope0):
     return lo if lo > 0 else t
 
 
-def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResult:
+def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
+                    x0=None) -> CapacityResult:
     """Minimize the discrete p-energy under condenser constraints.
 
     Parameters
@@ -165,18 +173,27 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
     p : float
         Exponent, p > 1.
     tol : float
-        Convergence requires both a relative energy decrease below tol and
-        a constrained-gradient norm below tol (relative to its starting
-        value).  For p != 2 an inner CG solve stops once its residual is
-        below ``FORCING`` times its starting residual, or below tol / 10
-        times the smaller of the right-hand side norm and the initial
-        gradient over p; the second bound lies under the outer target, so
-        CG keeps iterating while the outer test can still fail.  At p = 2
-        it stops below tol / 10 times the right-hand side norm (or the
-        starting residual, if larger).
+        Convergence requires a constrained-gradient max-norm below tol,
+        relative to its value at the cold start (u = 1 on ``inner`` and 0
+        on the other non-plateau nodes) whether or not ``x0`` is given;
+        for p != 2 it also requires a relative energy decrease below tol,
+        while at p = 2 the gradient test alone ends the solve after a step.
+        For p != 2 an inner CG solve stops once its residual is below
+        ``FORCING`` times its starting residual, or below tol / 10 times
+        the smaller of the right-hand side norm and the cold-start gradient
+        over p; the second bound lies under the outer target, so CG keeps
+        iterating while the outer test can still fail.  At p = 2 it stops
+        below tol / 10 times the right-hand side norm (or the starting
+        residual, if larger).
     max_iter : int
         Cap on reweighting iterations; hitting it leaves
         ``converged=False`` on the result (never an exception).
+    x0 : array of shape (n_nodes,), optional
+        Initial guess on the whole space.  Only its values on the free
+        nodes that the solve reaches are read, clipped to [0, 1] (which
+        never raises the energy); the constraints, the plateaus and the
+        unreachable nodes are set as in a cold start.  The first system is
+        weighted at the guess, where a cold start uses harmonic weights.
 
     Notes
     -----
@@ -204,6 +221,12 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
     free_mask = in_domain & ~is_inner
     if not free_mask.any():
         raise ValueError("domain minus inner set is empty")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"initial guess must have shape ({n},)")
+        if not np.isfinite(x0).all():
+            raise ValueError("initial guess must be finite")
 
     edges = space.edges
     lengths = space.edge_lengths
@@ -323,6 +346,11 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
     energy, grad, _ = edge_state(du)
     shape = np.ones(m)  # harmonic initialization
     g_scale = max(np.abs(grad).max(), 1e-300)
+    if x0 is not None:
+        x = np.clip(x0[free_ids], 0.0, 1.0)
+        u[free_ids] = x
+        du = u[ei] - u[ej]
+        energy, grad, shape = edge_state(du)
     diagnostics["energy_trace"].append(energy)
 
     converged = False
@@ -367,7 +395,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100) -> CapacityResu
         residual = np.abs(grad).max() / g_scale
         rel_dec = (energy - energy_new) / max(energy, 1e-300)
         energy = energy_new
-        if rel_dec < tol and residual < tol:
+        if residual < tol and (p == 2 or rel_dec < tol):
             converged = True
             break
         if not moved:

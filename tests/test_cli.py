@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ringcap import cli
@@ -61,6 +62,29 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     man_a.pop("wall_time_s"), man_b.pop("wall_time_s")
     assert man_a == man_b
+
+
+def test_column_writer_matches_the_row_writer(tmp_path):
+    floats = [-0.0, float("nan"), float("inf"), 1e-300, 3.0, 0.1]
+    columns = [
+        np.array([True, False, True, True, False, True]),
+        [True, False, 0, 1, 7, -3],
+        np.arange(-2, 4, dtype=np.int64),
+        list(np.arange(6, dtype=np.int64)),
+        np.array(floats),
+        floats,
+        [np.float64(v) for v in floats],
+        np.array(floats, dtype=np.float32),
+        ["a", "", "x y", 2.5, None, np.int32(4)],
+    ]
+    header = [f"c{k}" for k in range(len(columns))]
+    cli._write_csv(tmp_path / "cols.csv", header, columns)
+    # the writer it replaced formatted every entry of every row with _fmt
+    rows = [",".join(cli._fmt(v) for v in row) for row in zip(*columns)]
+    expected = "\n".join([",".join(header)] + rows) + "\n"
+    assert (tmp_path / "cols.csv").read_bytes() == expected.encode()
+    cli._write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
 
 def test_seed_flag_changes_the_sample(tmp_path):
@@ -203,6 +227,11 @@ def test_green_levels_and_refinement_trend(tmp_path):
         levels = list(csv.DictReader(fh))
     assert len(levels) == 5
     assert float(levels[0]["ratio"]) == pytest.approx(1.0, abs=1e-9)
+    assert man["pole_solve"]["stop_reason"] == "converged"
+    assert len(man["level_solves"]) == 5
+    # the (0, max G) level starts from the pole potential, its own minimizer
+    assert man["level_solves"][0]["cg_iters"] == 0
+    assert man["level_solves"][0]["stop_reason"] == "converged"
     trend = json.loads((out / "green_trend.json").read_text())
     assert trend["regime"] == "above"
     assert trend["bounded_change"] < 0.1

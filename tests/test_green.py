@@ -10,7 +10,9 @@ from ringcap import (
     build_euclidean_grid,
     build_green,
     check_level_sets,
+    green,
     maximum_principle_check,
+    solve_condenser,
 )
 
 
@@ -56,6 +58,10 @@ def test_defining_pair_ratio_is_one(plane_green):
     (a, b, cap, ratio), = rep.entries
     assert ratio == pytest.approx(1.0, abs=1e-9)
     assert cap == pytest.approx(sf.cap_inner, rel=1e-9)
+    # started from the pole potential itself, the solve needs no CG step
+    res, = rep.results
+    assert res.diagnostics["cg_iters"] == 0
+    assert res.converged and res.iterations == 1
 
 
 def test_level_pairs_stay_in_band(plane_green):
@@ -122,3 +128,21 @@ def test_trend_validation():
         blowup_trend([lvl, lvl], 2.0, 1.0)
     with pytest.raises(ValueError):
         blowup_trend([lvl, lvl, lvl], 2.0, 1.0)  # not strictly refining
+
+
+def test_unrefined_ladder_fails_before_any_solve(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_condenser(*args, **kwargs)
+
+    monkeypatch.setattr(green, "solve_condenser", counted)
+    levels = []
+    for h in (0.02, 0.04, 0.01):
+        sp = build_euclidean_grid(1, 1.2, h)
+        c = sp.nearest_node([0.0])
+        levels.append((sp, np.nonzero(sp.distances_from(c) < 1.0)[0], c))
+    with pytest.raises(ValueError, match="strictly refining"):
+        blowup_trend(levels, 2.0, 1.0)
+    assert calls == []
