@@ -62,6 +62,45 @@ def regime(p, q_center, tol=REGIME_TOL) -> str:
     return "below" if p < q_center else "above"
 
 
+def _checked_regime(r, R, p, q_center, mass_inner):
+    _check_ring(r, R, p)
+    if mass_inner < 0:
+        raise ValueError("inner ball mass must be nonnegative")
+    return regime(p, q_center)
+
+
+# Each branch constant is written once, in _lower or _upper, so the envelopes
+# and the ``constants`` that estimate_ring reports cannot drift apart.
+
+
+def _lower(which, r, R, p, q_center, mass_inner):
+    """Branch constant and value of the lower envelope."""
+    gap = 1.0 - r / R
+    if which == "below":
+        c = (1.0 - 2.0 ** (-(q_center - p) / (p - 1.0))) ** (p - 1.0)
+        return c, c * gap ** (p * (p - 1.0)) * mass_inner / r**p
+    if which == "critical":
+        q = q_center
+        c = mass_inner / r**q
+        return c, c * gap ** (q * (q - 1.0)) * np.log(R / r) ** (1.0 - q)
+    a = (p - q_center) / (p - 1.0)
+    c = (mass_inner / r**q_center) * (2.0**a - 1.0) ** (p - 1.0)
+    return c, c * gap ** (p * (p - 1.0)) * abs((2.0 * R) ** a - r**a) ** (1.0 - p)
+
+
+def _upper(which, r, R, p, q_center, mass_inner, q_local):
+    """Branch constant and value of the upper envelope."""
+    if which == "below":
+        c = abs(1.0 - (R / r) ** ((p - q_local) / (p - 1.0))) ** (-p)
+        return c, c * mass_inner / r**p
+    if which == "critical":
+        c = mass_inner / r**q_center
+        return c, c * np.log(R / r) ** (1.0 - q_center)
+    a = (p - q_center) / (p - 1.0)
+    c = (2.0**a - 1.0) ** (-1.0)
+    return c, c * abs((2.0 * R) ** a - r**a) ** (1.0 - p)
+
+
 def lower_bound(r, R, p, q_center, mass_inner) -> float:
     """Lower capacity envelope of the ring (structure constant 1).
 
@@ -70,22 +109,8 @@ def lower_bound(r, R, p, q_center, mass_inner) -> float:
     ``(1 - r/R)^(p(p-1))`` factor; the critical branch carries
     ``(1 - r/R)^(q(q-1))`` and ``log(R/r)^(1-q)``.
     """
-    _check_ring(r, R, p)
-    if mass_inner < 0:
-        raise ValueError("inner ball mass must be nonnegative")
-    which = regime(p, q_center)
-    gap = 1.0 - r / R
-    if which == "below":
-        c1 = (1.0 - 2.0 ** (-(q_center - p) / (p - 1.0))) ** (p - 1.0)
-        return c1 * gap ** (p * (p - 1.0)) * mass_inner / r**p
-    if which == "critical":
-        q = q_center
-        return (mass_inner / r**q) * gap ** (q * (q - 1.0)) \
-            * np.log(R / r) ** (1.0 - q)
-    a = (p - q_center) / (p - 1.0)
-    c3 = (mass_inner / r**q_center) * (2.0**a - 1.0) ** (p - 1.0)
-    return c3 * gap ** (p * (p - 1.0)) \
-        * abs((2.0 * R) ** a - r**a) ** (1.0 - p)
+    which = _checked_regime(r, R, p, q_center, mass_inner)
+    return _lower(which, r, R, p, q_center, mass_inner)[1]
 
 
 def upper_bound(r, R, p, q_center, mass_inner, q_local=None) -> float:
@@ -96,20 +121,10 @@ def upper_bound(r, R, p, q_center, mass_inner, q_local=None) -> float:
     branch by ``log(R/r)^(1-q)``; the above branch is the pure radial term
     ``|(2R)^a - r^a|^(1-p)`` without a mass factor.
     """
-    _check_ring(r, R, p)
-    if mass_inner < 0:
-        raise ValueError("inner ball mass must be nonnegative")
+    which = _checked_regime(r, R, p, q_center, mass_inner)
     if q_local is None:
         q_local = q_center
-    which = regime(p, q_center)
-    if which == "below":
-        a = (p - q_local) / (p - 1.0)
-        return abs(1.0 - (R / r) ** a) ** (-p) * mass_inner / r**p
-    if which == "critical":
-        q = q_center
-        return (mass_inner / r**q) * np.log(R / r) ** (1.0 - q)
-    a = (p - q_center) / (p - 1.0)
-    return (2.0**a - 1.0) ** (-1.0) * abs((2.0 * R) ** a - r**a) ** (1.0 - p)
+    return _upper(which, r, R, p, q_center, mass_inner, q_local)[1]
 
 
 @dataclass
@@ -132,21 +147,11 @@ def estimate_ring(r, R, p, q_center, mass_inner, q_local=None) -> RegimeEstimate
     """Evaluate both envelopes and record the branch constants."""
     if q_local is None:
         q_local = q_center
-    which = regime(p, q_center)
-    lo = lower_bound(r, R, p, q_center, mass_inner)
-    hi = upper_bound(r, R, p, q_center, mass_inner, q_local)
-    constants = {}
-    if which == "below":
-        constants["c_lower"] = (1.0 - 2.0 ** (-(q_center - p) / (p - 1.0))) ** (p - 1.0)
-        constants["c_upper"] = abs(1.0 - (R / r) ** ((p - q_local) / (p - 1.0))) ** (-p)
-    elif which == "critical":
-        constants["c_lower"] = constants["c_upper"] = mass_inner / r**q_center
-    else:
-        a = (p - q_center) / (p - 1.0)
-        constants["c_lower"] = (mass_inner / r**q_center) * (2.0**a - 1.0) ** (p - 1.0)
-        constants["c_upper"] = (2.0**a - 1.0) ** (-1.0)
-    return RegimeEstimate(which, lo, hi, r, R, p, q_center, q_local,
-                          mass_inner, constants)
+    which = _checked_regime(r, R, p, q_center, mass_inner)
+    c_lower, lo = _lower(which, r, R, p, q_center, mass_inner)
+    c_upper, hi = _upper(which, r, R, p, q_center, mass_inner, q_local)
+    return RegimeEstimate(which, lo, hi, r, R, p, q_center, q_local, mass_inner,
+                          {"c_lower": c_lower, "c_upper": c_upper})
 
 
 def riesz_potential(space, field, node, center, r, p) -> float:

@@ -85,23 +85,7 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 # config plumbing
 
-
-def _require_mapping(obj, where):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return dict(obj)
-
-
-def _take(d, key, where, *, required=False, default=None):
-    if key in d:
-        return d.pop(key)
-    if required:
-        raise ConfigError(f"missing key '{key}' in {where}")
-    return default
-
-def _done(d, where):
-    if d:
-        raise ConfigError(f"unknown keys in {where}: {sorted(d)}")
+_REQUIRED = object()
 
 
 def _number(value, name, *, minimum=None, strict=False):
@@ -116,75 +100,121 @@ def _number(value, name, *, minimum=None, strict=False):
     return v
 
 
-def _number_list(value, name, *, minimum=None, strict=False):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"'{name}' must be a nonempty list of numbers")
-    return [_number(v, name, minimum=minimum, strict=strict) for v in value]
+def _node(value, name, space):
+    """Nearest node to a coordinate list of the space's dimension."""
+    dim = space.coords.shape[1]
+    if not isinstance(value, list) or len(value) != dim:
+        raise ConfigError(f"'{name}' must be a list of {dim} coordinates")
+    return space.nearest_node(np.asarray([_number(v, name) for v in value]))
 
 
-def _point(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"'{name}' must be a coordinate list")
-    return [_number(v, name) for v in value]
+class _Keys:
+    """One config mapping, read key by key with a type check per read.
+
+    Each reader removes its key and checks its value.  A key is required
+    unless a default is given; with default None, absent or null reads as
+    None.  ``done`` rejects the keys left unread.
+    """
+
+    def __init__(self, obj, where):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        self.values = dict(obj)
+        self.where = where
+
+    def take(self, key, default=_REQUIRED):
+        if key in self.values:
+            return self.values.pop(key)
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key '{key}' in {self.where}")
+        return default
+
+    def done(self):
+        if self.values:
+            raise ConfigError(f"unknown keys in {self.where}: {sorted(self.values)}")
+
+    def _read(self, key, default, check):
+        value = self.take(key, default)
+        return None if value is None and default is None else check(value)
+
+    def number(self, key, default=_REQUIRED, *, minimum=None, strict=False):
+        return self._read(key, default, lambda v: _number(
+            v, key, minimum=minimum, strict=strict))
+
+    def positive(self, key, default=_REQUIRED):
+        return self.number(key, default, minimum=0, strict=True)
+
+    def exponent(self, key, default=_REQUIRED):
+        """A number > 1."""
+        return self.number(key, default, minimum=1, strict=True)
+
+    def integer(self, key, default=_REQUIRED, *, minimum):
+        """An integral number (2.0 reads as 2) that is at least ``minimum``."""
+        def check(value):
+            v = _number(value, key, minimum=minimum)
+            if not v.is_integer():
+                raise ConfigError(f"'{key}' must be an integer")
+            return int(v)
+        return self._read(key, default, check)
+
+    def instance(self, key, cls, default=_REQUIRED):
+        """A value of type ``cls``: a boolean flag or a string such as a path."""
+        def check(value):
+            if not isinstance(value, cls):
+                raise ConfigError(f"'{key}' must be a {cls.__name__}")
+            return value
+        return self._read(key, default, check)
+
+    def numbers(self, key, default=_REQUIRED, *, minimum=None, strict=False):
+        """A nonempty list of numbers, each checked as by ``number``."""
+        def check(value):
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"'{key}' must be a nonempty list of numbers")
+            return [_number(v, key, minimum=minimum, strict=strict) for v in value]
+        return self._read(key, default, check)
+
+    def node(self, key, space):
+        """Nearest node to a required coordinate point."""
+        return _node(self.take(key), key, space)
 
 
 def build_space(spec, h_override=None):
     """Construct a space from its config mapping (strictly validated)."""
-    spec = _require_mapping(spec, "space")
-    kind = _take(spec, "kind", "space", required=True)
-    if h_override is not None and kind in ("euclidean_grid", "heisenberg_grid",
-                                           "double_cone"):
-        spec["h"] = h_override
+    keys = _Keys(spec, "space")
+    kind = keys.take("kind")
     try:
+        if kind == "file":
+            path = keys.instance("path", str)
+            metric = keys.instance("metric", str, "path")
+            keys.done()
+            return load_space(path, metric=metric)
+        if kind not in ("euclidean_grid", "heisenberg_grid", "double_cone",
+                        "glued_balls"):
+            raise ConfigError(f"unknown space kind '{kind}'")
+        if h_override is not None:
+            keys.values["h"] = h_override
+        n = None if kind == "heisenberg_grid" else keys.integer("n", minimum=1)
+        half_extent = None if kind == "glued_balls" else keys.positive("half_extent")
+        h = keys.positive("h")
         if kind == "euclidean_grid":
-            n = int(_number(_take(spec, "n", "space", required=True), "n"))
-            half_extent = _number(_take(spec, "half_extent", "space", required=True),
-                                  "half_extent", minimum=0, strict=True)
-            h = _number(_take(spec, "h", "space", required=True), "h",
-                        minimum=0, strict=True)
-            alpha = _number(_take(spec, "alpha", "space", default=0.0), "alpha")
-            _done(spec, "space")
+            alpha = keys.number("alpha", 0.0)
+            keys.done()
             return build_euclidean_grid(n, half_extent, h, alpha=alpha)
         if kind == "heisenberg_grid":
-            half_extent = _number(_take(spec, "half_extent", "space", required=True),
-                                  "half_extent", minimum=0, strict=True)
-            h = _number(_take(spec, "h", "space", required=True), "h",
-                        minimum=0, strict=True)
-            t_half = _take(spec, "t_half_extent", "space")
-            t_step = _take(spec, "t_step", "space")
-            with_edges = _take(spec, "with_edges", "space", default=True)
-            if not isinstance(with_edges, bool):
-                raise ConfigError("'with_edges' must be a boolean")
-            _done(spec, "space")
-            return build_heisenberg_grid(
-                half_extent, h,
-                t_half_extent=None if t_half is None else _number(t_half, "t_half_extent"),
-                t_step=None if t_step is None else _number(t_step, "t_step"),
-                with_edges=with_edges)
+            t_half = keys.number("t_half_extent", None)
+            t_step = keys.number("t_step", None)
+            with_edges = keys.instance("with_edges", bool, True)
+            keys.done()
+            return build_heisenberg_grid(half_extent, h, t_half_extent=t_half,
+                                         t_step=t_step, with_edges=with_edges)
         if kind == "double_cone":
-            n = int(_number(_take(spec, "n", "space", required=True), "n"))
-            half_extent = _number(_take(spec, "half_extent", "space", required=True),
-                                  "half_extent", minimum=0, strict=True)
-            h = _number(_take(spec, "h", "space", required=True), "h",
-                        minimum=0, strict=True)
-            _done(spec, "space")
+            keys.done()
             return build_double_cone(n, half_extent, h)
-        if kind == "glued_balls":
-            n = int(_number(_take(spec, "n", "space", required=True), "n"))
-            h = _number(_take(spec, "h", "space", required=True), "h",
-                        minimum=0, strict=True)
-            length = _number(_take(spec, "segment_length", "space", required=True),
-                             "segment_length", minimum=0, strict=True)
-            _done(spec, "space")
-            return build_glued_balls(n, h, length)
-        if kind == "file":
-            path = _take(spec, "path", "space", required=True)
-            metric = _take(spec, "metric", "space", default="path")
-            _done(spec, "space")
-            return load_space(path, metric=metric)
-    except ValueError as exc:
+        length = keys.positive("segment_length")
+        keys.done()
+        return build_glued_balls(n, h, length)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"space: {exc}") from exc
-    raise ConfigError(f"unknown space kind '{kind}'")
 
 
 def _load_config(path):
@@ -193,45 +223,54 @@ def _load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _require_mapping(obj, "config")
 
 
-def _center_node(space, cfg, where, default=None):
-    point = _take(cfg, "center", where, default=default)
-    if point is None:
-        raise ConfigError(f"missing key 'center' in {where}")
-    return space.nearest_node(np.asarray(_point(point, "center")))
+def _ring(task, space):
+    """The center, r, R and p of one ring."""
+    return (task.node("center", space), task.positive("r"), task.positive("R"),
+            task.exponent("p"))
+
+
+def _ring_table(task, space):
+    """The center, r_list, R, p_list, q_center and q_local of a table of
+    rings, and the manifest's validity note for its R and R0."""
+    center = task.node("center", space)
+    r_list = task.numbers("r_list", minimum=0, strict=True)
+    big_r = task.positive("R")
+    p_list = task.numbers("p_list", minimum=1, strict=True)
+    q_center = task.exponent("q_center")
+    q_local = task.exponent("q_local", None)
+    extras = _validity_extras(space, center, big_r, task.positive("R0", None))
+    return center, r_list, big_r, p_list, q_center, q_local, extras
+
+
+def _solve_params(task):
+    return task.positive("tol", 1e-6), task.integer("max_iter", 100, minimum=1)
 
 
 # ---------------------------------------------------------------------------
-# tasks: each returns (artifact paths, extras for the manifest, converged flag)
+# tasks: each returns (artifact paths, extras for the manifest, converged flag);
+# ``run`` reports a ValueError from the library as a config error
 
 
-def _task_dimension(cfg, space, out, rng):
-    r_max = _number(_take(cfg, "r_max", "task", required=True), "r_max",
-                    minimum=0, strict=True)
-    n_samples = int(_number(_take(cfg, "n_samples", "task", default=20),
-                            "n_samples", minimum=1))
-    n_radii = int(_number(_take(cfg, "n_radii", "task", default=10),
-                          "n_radii", minimum=2))
-    points = _take(cfg, "points", "task")
-    _done(cfg, "task")
-    sample = np.sort(rng.choice(space.n_nodes,
-                                size=min(n_samples, space.n_nodes), replace=False))
+def _task_dimension(task, space, out, rng):
+    r_max = task.positive("r_max")
+    n_samples = task.integer("n_samples", 20, minimum=1)
+    n_radii = task.integer("n_radii", 10, minimum=2)
+    points = task.take("points", None)
+    task.done()
     point_nodes = None
     if points is not None:
         if not isinstance(points, list):
             raise ConfigError("'points' must be a list of coordinate lists")
-        point_nodes = [space.nearest_node(np.asarray(_point(pt, "points")))
-                       for pt in points]
-    try:
-        report = analyze_dimension(space, sample, r_max,
-                                   point_nodes=point_nodes, n_radii=n_radii)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+        point_nodes = [_node(pt, "points", space) for pt in points]
+    sample = np.sort(rng.choice(space.n_nodes,
+                                size=min(n_samples, space.n_nodes), replace=False))
+    report = analyze_dimension(space, sample, r_max,
+                               point_nodes=point_nodes, n_radii=n_radii)
     payload = {
         "c_doubling": report.c_doubling,
         "q_local": report.q_local,
@@ -264,30 +303,14 @@ def _validity_extras(space, center, big_r, r0):
             "the sampled geometry"}
 
 
-def _task_bounds(cfg, space, out, rng):
-    center = _center_node(space, cfg, "task")
-    r_list = _number_list(_take(cfg, "r_list", "task", required=True), "r_list",
-                          minimum=0, strict=True)
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    p_list = _number_list(_take(cfg, "p_list", "task", required=True), "p_list",
-                          minimum=1, strict=True)
-    q_center = _number(_take(cfg, "q_center", "task", required=True), "q_center",
-                       minimum=1, strict=True)
-    q_local = _take(cfg, "q_local", "task")
-    q_local = q_center if q_local is None else _number(q_local, "q_local",
-                                                       minimum=1, strict=True)
-    r0 = _take(cfg, "R0", "task")
-    r0 = None if r0 is None else _number(r0, "R0", minimum=0, strict=True)
-    _done(cfg, "task")
-    extras = _validity_extras(space, center, big_r, r0)
+def _task_bounds(task, space, out, rng):
+    center, r_list, big_r, p_list, q_center, q_local, extras = _ring_table(task, space)
+    task.done()
     rows = []
     for r in r_list:
         mass = space.ball_mass(center, r)
         for p in p_list:
-            try:
-                est = estimate_ring(r, big_r, p, q_center, mass, q_local=q_local)
-            except ValueError as exc:
-                raise ConfigError(f"task: {exc}") from exc
+            est = estimate_ring(r, big_r, p, q_center, mass, q_local=q_local)
             rows.append([r, big_r, p, est.regime, est.lower, est.upper,
                          est.constants["c_lower"], est.constants["c_upper"], mass])
     _write_csv(out / "bounds.csv",
@@ -306,35 +329,21 @@ def _make_profile(kind, r, big_r, p, q):
     raise ConfigError(f"unknown profile kind '{kind}'")
 
 
-def _task_profile_energy(cfg, space, out, rng):
-    kind = _take(cfg, "kind", "task", required=True)
-    center = _center_node(space, cfg, "task")
-    r = _number(_take(cfg, "r", "task", required=True), "r", minimum=0, strict=True)
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    p = _number(_take(cfg, "p", "task", required=True), "p", minimum=1, strict=True)
-    q = _take(cfg, "q", "task")
-    q = None if q is None else _number(q, "q", minimum=1, strict=True)
-    _done(cfg, "task")
-    try:
-        prof = _make_profile(kind, r, big_r, p, q)
-        fld = radialize(space, center, prof)
-        split = p_energy(space, fld, p)
-        shells = dyadic_shell_energy(space, fld, center, r, big_r, p)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+def _task_profile_energy(task, space, out, rng):
+    kind = task.take("kind")
+    center, r, big_r, p = _ring(task, space)
+    q = task.exponent("q", None)
+    task.done()
+    prof = _make_profile(kind, r, big_r, p, q)
+    fld = radialize(space, center, prof)
+    split = p_energy(space, fld, p)
+    shells = dyadic_shell_energy(space, fld, center, r, big_r, p)
     _write_csv(out / "profile_energy.csv",
                ["kind", "r", "R", "p", "k0", "energy_edge", "energy_node"],
                [[kind], [r], [big_r], [p], [shells.k0], [split.edge], [split.node]])
     _write_csv(out / "profile_shells.csv", ["shell", "nodes", "energy"],
                [np.arange(shells.k0 + 1), shells.counts, shells.energies])
     return ["profile_energy.csv", "profile_shells.csv"], {}, True
-
-
-def _solve_params(cfg):
-    tol = _number(_take(cfg, "tol", "task", default=1e-6), "tol", minimum=0, strict=True)
-    max_iter = int(_number(_take(cfg, "max_iter", "task", default=100),
-                           "max_iter", minimum=1))
-    return tol, max_iter
 
 
 def _solve_record(res):
@@ -344,20 +353,12 @@ def _solve_record(res):
             "stop_reason": res.diagnostics["stop_reason"]}
 
 
-def _task_solve(cfg, space, out, rng):
-    center = _center_node(space, cfg, "task")
-    r = _number(_take(cfg, "r", "task", required=True), "r", minimum=0, strict=True)
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    p = _number(_take(cfg, "p", "task", required=True), "p", minimum=1, strict=True)
-    tol, max_iter = _solve_params(cfg)
-    field_dump = _take(cfg, "field_dump", "task", default=False)
-    if not isinstance(field_dump, bool):
-        raise ConfigError("'field_dump' must be a boolean")
-    _done(cfg, "task")
-    try:
-        res = relative_capacity(space, center, r, big_r, p, tol=tol, max_iter=max_iter)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+def _task_solve(task, space, out, rng):
+    center, r, big_r, p = _ring(task, space)
+    tol, max_iter = _solve_params(task)
+    field_dump = task.instance("field_dump", bool, False)
+    task.done()
+    res = relative_capacity(space, center, r, big_r, p, tol=tol, max_iter=max_iter)
     _write_json(out / "solve.json", {
         "value": res.value,
         "residual": res.residual, "converged": res.converged,
@@ -373,23 +374,14 @@ def _task_solve(cfg, space, out, rng):
     return artifacts, {}, res.converged
 
 
-def _task_sandwich(cfg, space, out, rng):
-    center = _center_node(space, cfg, "task")
-    r = _number(_take(cfg, "r", "task", required=True), "r", minimum=0, strict=True)
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    p = _number(_take(cfg, "p", "task", required=True), "p", minimum=1, strict=True)
-    q_center = _number(_take(cfg, "q_center", "task", required=True), "q_center",
-                       minimum=1, strict=True)
-    q_local = _take(cfg, "q_local", "task")
-    q_local = None if q_local is None else _number(q_local, "q_local",
-                                                   minimum=1, strict=True)
-    tol, _ = _solve_params(cfg)
-    _done(cfg, "task")
-    try:
-        rep = verify_sandwich(space, center, r, big_r, p, q_center,
-                              q_local=q_local, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+def _task_sandwich(task, space, out, rng):
+    center, r, big_r, p = _ring(task, space)
+    q_center = task.exponent("q_center")
+    q_local = task.exponent("q_local", None)
+    tol, _ = _solve_params(task)
+    task.done()
+    rep = verify_sandwich(space, center, r, big_r, p, q_center,
+                          q_local=q_local, tol=tol)
     _write_json(out / "sandwich.json", {
         "regime": rep.regime, "capacity": rep.capacity,
         "profile_energy": rep.profile_energy, "lower": rep.lower,
@@ -399,60 +391,64 @@ def _task_sandwich(cfg, space, out, rng):
     return ["sandwich.json"], {}, rep.result.converged
 
 
-def _task_green(cfg, space_spec, out, rng):
-    space = build_space(dict(space_spec))
-    center = _center_node(space, cfg, "task")
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    p = _number(_take(cfg, "p", "task", required=True), "p", minimum=1, strict=True)
-    rho = _take(cfg, "rho", "task")
-    rho = None if rho is None else _number(rho, "rho", minimum=0, strict=True)
-    fractions = _take(cfg, "level_fractions", "task",
-                      default=[[0.0, 1.0], [0.1, 0.5], [0.2, 0.8],
-                               [0.3, 0.6], [0.5, 0.9]])
-    refine = _take(cfg, "refine_h", "task")
-    q_center = _take(cfg, "q_center", "task")
-    tol, _ = _solve_params(cfg)
-    _done(cfg, "task")
-    if not isinstance(fractions, list) or not all(
-            isinstance(pr, list) and len(pr) == 2 for pr in fractions):
-        raise ConfigError("'level_fractions' must be a list of [a, b] pairs")
+def _level_fractions(value):
+    """The (a, b) level pairs of a green task, as fractions of max G."""
+    if isinstance(value, list) and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value):
+        pairs = [[_number(v, "level_fractions") for v in pair] for pair in value]
+        if all(0.0 <= a < b for a, b in pairs):
+            return pairs
+    raise ConfigError("'level_fractions' must be a list of [a, b] pairs "
+                      "with 0 <= a < b")
+
+
+def _refinement_trend(space_spec, point, big_r, p, q_center, hs, tol):
+    """The green_trend.json record of the pole value over grid steps ``hs``."""
+    levels = []
+    for h in hs:
+        sp = build_space(space_spec, h_override=h)
+        c = sp.nearest_node(point)
+        levels.append((sp, sp.ball(c, big_r), c))
+    trend = blowup_trend(levels, p, q_center, tol=tol)
+    return {
+        "regime": trend.regime,
+        "resolutions": list(trend.resolutions),
+        "max_values": list(trend.max_values),
+        "power_slope": trend.power_slope,
+        "log_slope": trend.log_slope,
+        "log_residual": trend.log_residual,
+        "bounded_change": trend.bounded_change,
+    }
+
+
+def _task_green(task, space_spec, out, rng):
+    space = build_space(space_spec)
+    center = task.node("center", space)
+    big_r = task.positive("R")
+    p = task.exponent("p")
+    rho = task.positive("rho", None)
+    fractions = _level_fractions(task.take(
+        "level_fractions",
+        [[0.0, 1.0], [0.1, 0.5], [0.2, 0.8], [0.3, 0.6], [0.5, 0.9]]))
+    refine = task.numbers("refine_h", None, minimum=0, strict=True)
+    q_center = task.number("q_center", None, minimum=1)
+    tol, _ = _solve_params(task)
+    task.done()
     if refine is not None and q_center is None:
         raise ConfigError("'refine_h' requires 'q_center'")
-    try:
-        sf = build_green(space, space.ball(center, big_r), center, p,
-                         rho=rho, tol=tol)
-        pairs = [(a * sf.max_value, b * sf.max_value) for a, b in fractions]
-        levels_rep = check_level_sets(space, sf, pairs, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+    sf = build_green(space, space.ball(center, big_r), center, p, rho=rho, tol=tol)
+    pairs = [(a * sf.max_value, b * sf.max_value) for a, b in fractions]
+    levels_rep = check_level_sets(space, sf, pairs, tol=tol)
+    trend = None if refine is None else _refinement_trend(
+        space_spec, space.coords[center], big_r, p, q_center, refine, tol)
     _write_csv(out / "green_field.csv", ["id", "G"],
                [np.arange(space.n_nodes), sf.values])
     _write_csv(out / "green_levels.csv", ["a", "b", "capacity", "ratio"],
                zip(*[["" if v is None else v for v in entry]
                      for entry in levels_rep.entries]))
     artifacts = ["green_field.csv", "green_levels.csv"]
-    converged = sf.result.converged
-    if refine is not None:
-        hs = _number_list(refine, "refine_h", minimum=0, strict=True)
-        levels = []
-        for h in hs:
-            sp = build_space(dict(space_spec), h_override=h)
-            c = sp.nearest_node(space.coords[center])
-            levels.append((sp, sp.ball(c, big_r), c))
-        try:
-            trend = blowup_trend(levels, p, _number(q_center, "q_center"),
-                                 tol=tol)
-        except ValueError as exc:
-            raise ConfigError(f"task: {exc}") from exc
-        _write_json(out / "green_trend.json", {
-            "regime": trend.regime,
-            "resolutions": list(trend.resolutions),
-            "max_values": list(trend.max_values),
-            "power_slope": trend.power_slope,
-            "log_slope": trend.log_slope,
-            "log_residual": trend.log_residual,
-            "bounded_change": trend.bounded_change,
-        })
+    if trend is not None:
+        _write_json(out / "green_trend.json", trend)
         artifacts.append("green_trend.json")
     extras = {
         "level_notices": levels_rep.notices,
@@ -460,21 +456,17 @@ def _task_green(cfg, space_spec, out, rng):
         "level_solves": [None if res is None else _solve_record(res)
                          for res in levels_rep.results],
     }
-    return artifacts, extras, converged
+    return artifacts, extras, sf.result.converged
 
 
-def _task_singleton(cfg, space, out, rng):
-    center = _center_node(space, cfg, "task")
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    r_list = _number_list(_take(cfg, "r_list", "task", required=True), "r_list",
-                          minimum=0, strict=True)
-    p = _number(_take(cfg, "p", "task", required=True), "p", minimum=1, strict=True)
-    tol, _ = _solve_params(cfg)
-    _done(cfg, "task")
-    try:
-        rep = singleton_capacity_limit(space, center, p, big_r, r_list, tol=tol)
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+def _task_singleton(task, space, out, rng):
+    center = task.node("center", space)
+    big_r = task.positive("R")
+    r_list = task.numbers("r_list", minimum=0, strict=True)
+    p = task.exponent("p")
+    tol, _ = _solve_params(task)
+    task.done()
+    rep = singleton_capacity_limit(space, center, p, big_r, r_list, tol=tol)
     _write_csv(out / "singleton.csv", ["r", "capacity"],
                [rep.radii, rep.capacities])
     _write_json(out / "singleton.json", {
@@ -485,33 +477,17 @@ def _task_singleton(cfg, space, out, rng):
     return ["singleton.csv", "singleton.json"], {}, True
 
 
-def _task_regime_sweep(cfg, space, out, rng):
-    center = _center_node(space, cfg, "task")
-    big_r = _number(_take(cfg, "R", "task", required=True), "R", minimum=0, strict=True)
-    r_list = _number_list(_take(cfg, "r_list", "task", required=True), "r_list",
-                          minimum=0, strict=True)
-    p_list = _number_list(_take(cfg, "p_list", "task", required=True), "p_list",
-                          minimum=1, strict=True)
-    q_center = _number(_take(cfg, "q_center", "task", required=True), "q_center",
-                       minimum=1, strict=True)
-    q_local = _take(cfg, "q_local", "task")
-    q_local = q_center if q_local is None else _number(q_local, "q_local",
-                                                       minimum=1, strict=True)
-    r0 = _take(cfg, "R0", "task")
-    r0 = None if r0 is None else _number(r0, "R0", minimum=0, strict=True)
-    tol, max_iter = _solve_params(cfg)
-    _done(cfg, "task")
-    extras = _validity_extras(space, center, big_r, r0)
+def _task_regime_sweep(task, space, out, rng):
+    center, r_list, big_r, p_list, q_center, q_local, extras = _ring_table(task, space)
+    tol, max_iter = _solve_params(task)
+    task.done()
     rows, all_conv = [], True
     for p in p_list:
         for r in r_list:
-            try:
-                est = estimate_ring(r, big_r, p, q_center,
-                                    space.ball_mass(center, r), q_local=q_local)
-                res = relative_capacity(space, center, r, big_r, p,
-                                        tol=tol, max_iter=max_iter)
-            except ValueError as exc:
-                raise ConfigError(f"task: {exc}") from exc
+            est = estimate_ring(r, big_r, p, q_center,
+                                space.ball_mass(center, r), q_local=q_local)
+            res = relative_capacity(space, center, r, big_r, p,
+                                    tol=tol, max_iter=max_iter)
             all_conv = all_conv and res.converged
             rows.append([r, big_r, p, est.regime, res.value, est.lower, est.upper,
                         res.iterations, res.converged])
@@ -521,43 +497,30 @@ def _task_regime_sweep(cfg, space, out, rng):
     return ["sweep.csv"], extras, all_conv
 
 
-def fit_exponent(x, y):
-    """Least-squares log-log slope for acceptance-style scaling checks.
-
-    Requires at least four points; returns the fit and a one-line
-    confidence note built from the maximum relative residual.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 4:
-        raise ValueError("need at least four points to fit an exponent")
-    fit = fit_power_law(x, y)
-    note = f"max relative residual {fit.residual:.3g} over {x.size} points"
-    return fit, note
-
-
-def _task_fit(cfg, space, out, rng):
-    csv_path = _take(cfg, "csv", "task", required=True)
-    x_col = _take(cfg, "x_column", "task", required=True)
-    y_col = _take(cfg, "y_column", "task", required=True)
-    _done(cfg, "task")
+def _task_fit(task, space, out, rng):
+    csv_path = task.instance("csv", str)
+    x_col = task.take("x_column")
+    y_col = task.take("y_column")
+    task.done()
     try:
         lines = Path(csv_path).read_text().strip().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read csv: {exc}") from exc
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     if x_col not in header or y_col not in header:
         raise ConfigError(f"columns {x_col!r}, {y_col!r} not both in {header}")
     xi, yi = header.index(x_col), header.index(y_col)
-    try:
-        data = [(float(ln.split(",")[xi]), float(ln.split(",")[yi]))
-                for ln in lines[1:] if ln.strip()]
-        fit, note = fit_exponent([d[0] for d in data], [d[1] for d in data])
-    except ValueError as exc:
-        raise ConfigError(f"task: {exc}") from exc
+    rows = [ln.split(",") for ln in lines[1:] if ln.strip()]
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"every csv row needs the {len(header)} fields of the header")
+    if len(rows) < 4:
+        raise ConfigError("need at least four points to fit an exponent")
+    fit = fit_power_law([float(row[xi]) for row in rows],
+                        [float(row[yi]) for row in rows])
     _write_json(out / "fit.json", {
         "slope": fit.slope, "intercept": fit.intercept,
-        "residual": fit.residual, "n_points": len(data), "note": note,
+        "residual": fit.residual, "n_points": len(rows),
+        "note": f"max relative residual {fit.residual:.3g} over {len(rows)} points",
     })
     return ["fit.json"], {}, True
 
@@ -580,28 +543,23 @@ def run(task, config_path, out_dir, seed=None, quiet=False) -> int:
     started = time.monotonic()
     try:
         config = _load_config(config_path)
-        work = dict(config)
-        space_spec = _take(work, "space", "config")
-        task_cfg = _require_mapping(_take(work, "task", "config", default={}), "task")
-        cfg_seed = _take(work, "seed", "config", default=0)
-        _done(work, "config")
-        if seed is None:
-            seed = int(_number(cfg_seed, "seed", minimum=0))
+        top = _Keys(config, "config")
+        space_spec = top.take("space", None)
+        task_keys = _Keys(top.take("task", {}), "task")
+        cfg_seed = top.integer("seed", 0, minimum=0)
+        top.done()
+        seed = cfg_seed if seed is None else seed
         fn, needs_space = _TASKS[task]
-        if needs_space is None:
-            handle = None
-        elif needs_space:
-            if space_spec is None:
-                raise ConfigError("missing key 'space' in config")
-            handle = build_space(space_spec)
-        else:
-            if space_spec is None:
-                raise ConfigError("missing key 'space' in config")
-            handle = space_spec
+        if needs_space is not None and space_spec is None:
+            raise ConfigError("missing key 'space' in config")
+        handle = build_space(space_spec) if needs_space else space_spec
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         rng = np.random.default_rng(seed)
-        artifacts, extras, converged = fn(task_cfg, handle, out, rng)
+        try:
+            artifacts, extras, converged = fn(task_keys, handle, out, rng)
+        except ValueError as exc:
+            raise ConfigError(f"task: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

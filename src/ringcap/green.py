@@ -168,13 +168,13 @@ class TrendReport:
         return self.bounded_change <= 0.1
 
 
-def blowup_trend(levels, p, q_center, rho_steps=3.0, tol=1e-6) -> TrendReport:
+def blowup_trend(levels, p, q_center, tol=1e-6) -> TrendReport:
     """Track the pole value of the singular function as the grid refines.
 
     ``levels`` is a sequence of (space, domain, center) triples ordered by
-    decreasing resolution; at least three are required.  Each level gets a
-    pole plate of ``rho_steps`` grid steps so the construction shrinks
-    with h.
+    decreasing resolution; at least three are required.  Each level gets
+    :func:`build_green`'s default pole plate of three grid steps, so the
+    construction shrinks with h.
     """
     levels = list(levels)
     if len(levels) < 3:
@@ -182,9 +182,8 @@ def blowup_trend(levels, p, q_center, rho_steps=3.0, tol=1e-6) -> TrendReport:
     hs = np.array([space.params.resolution for space, _, _ in levels])
     if not np.all(np.diff(hs) < 0):
         raise ValueError("resolution levels must be strictly refining")
-    gmax = np.array([
-        build_green(space, domain, center, p, rho=rho_steps * h, tol=tol).max_value
-        for (space, domain, center), h in zip(levels, hs)])
+    gmax = np.array([build_green(space, domain, center, p, tol=tol).max_value
+                     for space, domain, center in levels])
     which = regime(p, q_center)
     inv = 1.0 / hs
     power = fit_power_law(inv, gmax)

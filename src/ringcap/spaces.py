@@ -52,24 +52,14 @@ _SUM_BLOCK = 1024
 class SpaceParams:
     """Structural constants attached to a space.
 
-    doubling_constant : seed estimate for max mu(B(x,2r))/mu(B(x,r))
-    doubling_radius   : radius scale up to which doubling is expected to hold
-    poincare_dilation : dilation factor metadata for Poincare-type inequalities
-    resolution        : grid step h
+    resolution : grid step h
     """
 
-    doubling_constant: float = 2.0
-    doubling_radius: float = 1.0
-    poincare_dilation: float = 1.0
     resolution: float = 1.0
 
     def __post_init__(self):
-        if self.doubling_constant < 1.0:
-            raise ValueError("doubling_constant must be >= 1")
-        if self.doubling_radius <= 0 or self.resolution <= 0:
-            raise ValueError("doubling_radius and resolution must be positive")
-        if self.poincare_dilation < 1.0:
-            raise ValueError("poincare_dilation must be >= 1")
+        if self.resolution <= 0:
+            raise ValueError("resolution must be positive")
 
 
 class DiscreteSpace:
@@ -379,12 +369,7 @@ def build_euclidean_grid(n, half_extent, h, alpha=0.0):
 
     edges = _grid_edges((count,) * n)
     lengths = np.full(edges.shape[0], h)
-    params = SpaceParams(
-        doubling_constant=2.0**n,
-        doubling_radius=half_extent / 2.0,
-        poincare_dilation=1.0,
-        resolution=h,
-    )
+    params = SpaceParams(resolution=h)
     return DiscreteSpace(coords, mass, edges, lengths, "euclidean", params)
 
 
@@ -491,12 +476,7 @@ def build_heisenberg_grid(half_extent, h, t_half_extent=None, t_step=None,
         edges = np.concatenate(pair_list, axis=0)
         lengths = np.concatenate(len_list)
 
-    params = SpaceParams(
-        doubling_constant=16.0,
-        doubling_radius=half_extent / 2.0,
-        poincare_dilation=1.0,
-        resolution=h,
-    )
+    params = SpaceParams(resolution=h)
     return DiscreteSpace(coords, cell, edges, lengths, "koranyi", params)
 
 
@@ -524,12 +504,7 @@ def build_double_cone(n, half_extent, h):
     e_ok = inside[e[:, 0]] & inside[e[:, 1]]
     edges = remap[e[e_ok]]
     lengths = full.edge_lengths[e_ok]
-    params = SpaceParams(
-        doubling_constant=2.0**n,
-        doubling_radius=half_extent / 2.0,
-        poincare_dilation=1.0,
-        resolution=h,
-    )
+    params = SpaceParams(resolution=h)
     return DiscreteSpace(c[keep], full.mass[keep], edges, lengths, "euclidean", params)
 
 
@@ -602,12 +577,7 @@ def build_glued_balls(n, h, segment_length):
     edges.append(chain_edges)
     lengths.append(np.full(chain_edges.shape[0], hs))
 
-    params = SpaceParams(
-        doubling_constant=2.0**n,
-        doubling_radius=0.5,
-        poincare_dilation=1.0,
-        resolution=h,
-    )
+    params = SpaceParams(resolution=h)
     space = DiscreteSpace(
         np.concatenate(coords, axis=0),
         np.concatenate(masses),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ringcap import cli
+from ringcap.spaces import build_euclidean_grid, save_space
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -127,6 +128,106 @@ def test_missing_and_malformed_configs(tmp_path):
                      "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         cli.main(["dimension"])  # --config is required
+
+
+def assert_rejected(tmp_path, task, cfg_obj):
+    """The run exits 2 with a config error and writes no file."""
+    out = tmp_path / "out"
+    assert cli.run(task, write_cfg(tmp_path, cfg_obj), str(out), quiet=True) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def line_cfg(task, h=0.04):
+    return {"space": {"kind": "euclidean_grid", "n": 1, "half_extent": 1.2,
+                      "h": h},
+            "task": task}
+
+
+@pytest.mark.parametrize("task,cfg_obj", [
+    # a center of the wrong dimension
+    ("solve", grid_cfg({"center": [0.0], "r": 0.1, "R": 0.4, "p": 2.0})),
+    ("bounds", grid_cfg({"center": [0.0, 0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                         "p_list": [2.0], "q_center": 2.0})),
+    ("dimension", grid_cfg({"r_max": 0.5, "points": [[0.0, 0.0], [0.1]]})),
+    # a space file that does not exist
+    ("bounds", {"space": {"kind": "file", "path": "no/such/space.txt"},
+                "task": {"center": [0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                         "p_list": [2.0], "q_center": 2.0}}),
+    ("bounds", {"space": {"kind": "file", "path": ["space.txt"]},
+                "task": {"center": [0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                         "p_list": [2.0], "q_center": 2.0}}),
+    # level fractions that are not numbers, or not 0 <= a < b
+    ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0,
+                        "level_fractions": [[0.0, 1.0], ["a", "b"]]})),
+    ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0,
+                        "level_fractions": [[0.0, 1.0], [0.5, 0.5]]})),
+    ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0,
+                        "level_fractions": [[-0.1, 0.5]]})),
+    # an exponent that is not a number, with and without a refinement ladder
+    ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0, "q_center": "two"})),
+    ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0, "q_center": "two",
+                        "refine_h": [0.04, 0.02, 0.01]})),
+])
+def test_malformed_task_inputs_exit_2_before_any_solve(tmp_path, monkeypatch,
+                                                       task, cfg_obj):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a malformed config")
+
+    monkeypatch.setattr(cli, "build_green", no_solve)
+    monkeypatch.setattr(cli, "relative_capacity", no_solve)
+    assert_rejected(tmp_path, task, cfg_obj)
+
+
+@pytest.mark.parametrize("task,where,key,value", [
+    ("dimension", "space", "n", 2.7), ("dimension", "task", "n_samples", 5.5),
+    ("dimension", "task", "n_radii", 6.5), ("dimension", "", "seed", 1.5),
+    ("solve", "task", "max_iter", 1.5)])
+def test_integer_keys_reject_fractions(tmp_path, task, where, key, value):
+    cfg_obj = dim_cfg() if task == "dimension" else grid_cfg(
+        {"center": [0.0, 0.0], "r": 0.15, "R": 0.45, "p": 3.5})
+    (cfg_obj[where] if where else cfg_obj)[key] = value
+    assert_rejected(tmp_path, task, cfg_obj)
+
+
+def test_integral_floats_read_as_integers(tmp_path):
+    as_ints, as_floats = dim_cfg(), dim_cfg()
+    as_floats["space"]["n"] = 2.0
+    as_floats["task"].update(n_samples=5.0, n_radii=6.0)
+    as_floats["seed"] = 0.0
+    digests = []
+    for name, obj in (("ints", as_ints), ("floats", as_floats)):
+        out = tmp_path / name
+        assert cli.run("dimension", write_cfg(tmp_path, obj, f"{name}.json"),
+                       str(out), quiet=True) == 0
+        digests.append(read_manifest(out)["artifacts"])
+    assert digests[0] == digests[1]
+
+
+def test_unrefined_ladder_exits_2_and_writes_nothing(tmp_path):
+    assert_rejected(tmp_path, "green", line_cfg(
+        {"center": [0.0], "R": 1.0, "p": 2.0, "q_center": 1.0,
+         "refine_h": [0.01, 0.02, 0.04]}))
+
+
+def test_fit_rejects_a_short_csv_row(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("r,value\n1,1\n2,4\n3\n4,16\n5,25\n")
+    assert_rejected(tmp_path, "fit", {"task": {"csv": str(data), "x_column": "r",
+                                               "y_column": "value"}})
+
+
+def test_file_space_builds_from_config(tmp_path):
+    path = tmp_path / "plane.txt"
+    save_space(build_euclidean_grid(2, 0.55, 0.05), path)
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "file", "path": str(path), "metric": "euclidean"},
+        "task": {"center": [0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                 "p_list": [2.0], "q_center": 2.0, "R0": 10.0}})
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    with open(out / "bounds.csv") as fh:
+        row, = csv.DictReader(fh)
+    assert row["regime"] == "critical"
 
 
 def test_bounds_table_and_validity_note(tmp_path):
