@@ -247,8 +247,13 @@ def _ring_table(task, space):
     return center, r_list, big_r, p_list, q_center, q_local, extras
 
 
+def _tolerance(task):
+    return task.positive("tol", 1e-6)
+
+
 def _solve_params(task):
-    return task.positive("tol", 1e-6), task.integer("max_iter", 100, minimum=1)
+    """Tolerance and iteration cap of the tasks that pass both to the solver."""
+    return _tolerance(task), task.integer("max_iter", 100, minimum=1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +355,8 @@ def _solve_record(res):
     """What one solve did, for solve.json and the manifest."""
     return {"iterations": res.iterations,
             "cg_iters": res.diagnostics["cg_iters"],
-            "stop_reason": res.diagnostics["stop_reason"]}
+            "stop_reason": res.diagnostics["stop_reason"],
+            "preconditioner": res.diagnostics["preconditioner"]}
 
 
 def _task_solve(task, space, out, rng):
@@ -378,7 +384,7 @@ def _task_sandwich(task, space, out, rng):
     center, r, big_r, p = _ring(task, space)
     q_center = task.exponent("q_center")
     q_local = task.exponent("q_local", None)
-    tol, _ = _solve_params(task)
+    tol = _tolerance(task)
     task.done()
     rep = verify_sandwich(space, center, r, big_r, p, q_center,
                           q_local=q_local, tol=tol)
@@ -432,7 +438,7 @@ def _task_green(task, space_spec, out, rng):
         [[0.0, 1.0], [0.1, 0.5], [0.2, 0.8], [0.3, 0.6], [0.5, 0.9]]))
     refine = task.numbers("refine_h", None, minimum=0, strict=True)
     q_center = task.number("q_center", None, minimum=1)
-    tol, _ = _solve_params(task)
+    tol = _tolerance(task)
     task.done()
     if refine is not None and q_center is None:
         raise ConfigError("'refine_h' requires 'q_center'")
@@ -464,7 +470,7 @@ def _task_singleton(task, space, out, rng):
     big_r = task.positive("R")
     r_list = task.numbers("r_list", minimum=0, strict=True)
     p = task.exponent("p")
-    tol, _ = _solve_params(task)
+    tol = _tolerance(task)
     task.done()
     rep = singleton_capacity_limit(space, center, p, big_r, r_list, tol=tol)
     _write_csv(out / "singleton.csv", ["r", "capacity"],

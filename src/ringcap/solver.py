@@ -12,7 +12,7 @@ their classical values.
 Minimization is a guarded Newton-IRLS.  Each step solves the weighted
 graph-Laplacian system with edge weights ``c_e |du|^(p-2)`` (clipped away
 from 0 and infinity) for a correction of the current potential, by
-diagonally preconditioned conjugate gradients (CG).  The exact Newton step
+preconditioned conjugate gradients (CG).  The exact Newton step
 is that correction scaled by 1 / (p - 1), so the step length is chosen by
 an exact line search of the convex energy along it, over
 (0, max(1, 1 / (p - 1))]; every accepted step lowers the energy, on both
@@ -23,6 +23,20 @@ stops at a fixed fraction of the current residual, with a floor below the
 outer gradient target.  A step that leaves the potential unchanged ends the
 solve as stagnated.  Components of the free region that the constraints
 cannot reach are zeroed and reported, never solved.
+
+The preconditioner is chosen from the system, not set by the caller.  A
+p = 2 system on a Euclidean space with more than ``COARSEST`` free nodes
+gets a smoothed-aggregation V-cycle (Vanek, Mandel and Brezina 1996): the
+free nodes are grouped into coordinate boxes three shortest edges a side,
+the piecewise-constant prolongation of the boxes is smoothed by one
+damped-Jacobi step, and Galerkin products P^T A P are coarsened again with
+boxes three times wider, down to a direct solve of at most ``COARSEST``
+unknowns.  One damped-Jacobi step before and one after each coarse
+correction keep it symmetric.  CG iterations then no longer grow like
+1 / h.  The hierarchy is built when CG first applies it and is freed with
+the solve.  Every other system keeps the diagonal (Jacobi) preconditioner:
+p != 2, where the weights change at every iteration; the gauge lattice and
+path metrics, whose nodes are not boxed by coordinates; and small systems.
 
 A solve may start from a guess ``x0`` (a nearly optimal potential, say),
 clipped to [0, 1] on the free nodes.  Its convergence is still judged
@@ -38,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .bounds import lower_bound, regime, upper_bound
 from .profiles import (
@@ -64,6 +78,8 @@ __all__ = [
 
 WEIGHT_FLOOR = 1e-12
 FORCING = 1e-2  # inner CG tolerance relative to the current residual, p != 2
+COARSEST = 2000  # most unknowns of the multilevel hierarchy's direct solve
+SMOOTHING = 2.0 / 3.0  # damped-Jacobi weight of the multilevel smoothers
 
 
 @dataclass
@@ -112,8 +128,9 @@ class CapacityResult:
     iteration (``energy_trace``), the accepted step lengths (``steps``), the
     CG iterations summed over the solve (``cg_iters``), why the solve ended
     (``stop_reason``: ``converged``, ``max_iter`` or ``stagnated``, when a
-    step left the potential unchanged), and the ``descent_ok`` and
-    ``range_ok`` checks.
+    step left the potential unchanged), the CG preconditioner
+    (``preconditioner``: ``jacobi`` or ``multilevel``), and the
+    ``descent_ok`` and ``range_ok`` checks.
     """
 
     value: float
@@ -158,6 +175,75 @@ def _line_search(c, a, b, p, t_max, slope0):
         t_new = t - d1 / d2 if d2 > 0 else lo
         t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
     return lo if lo > 0 else t
+
+
+def _group_rows(cells):
+    """Distinct rows of an integer array, sorted, and the position of each
+    row among them."""
+    order = np.lexsort(cells.T[::-1])
+    ranked = cells[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(order.size, dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    return ranked[new], group
+
+
+def _hierarchy(lap, cells):
+    """Smoothed-aggregation levels of the SPD matrix ``lap``.
+
+    ``cells`` gives each unknown's integer cell on the lattice of the
+    space's shortest edge.  Each level groups the unknowns into boxes of
+    three cells a side (so the box side triples from level to level), smooths
+    the piecewise-constant prolongation of the boxes by one damped-Jacobi
+    step, and passes the Galerkin product P^T A P down, until at most
+    ``COARSEST`` unknowns remain.  Returns the (A, 1 / diag A, P) of each
+    level and the LU factors of the coarsest matrix.
+    """
+    levels = []
+    a = lap
+    while a.shape[0] > COARSEST:
+        cells = cells // 3
+        boxes, agg = _group_rows(cells)
+        n, n_agg = a.shape[0], boxes.shape[0]
+        if n_agg == n:
+            continue  # boxes still hold one unknown each; widen them
+        cells = boxes
+        inv_d = 1.0 / a.diagonal()
+        tentative = csr_matrix((np.ones(n), agg, np.arange(n + 1)),
+                               shape=(n, n_agg))
+        smooth = a @ tentative
+        smooth.data *= np.repeat(SMOOTHING * inv_d, np.diff(smooth.indptr))
+        prolong = (tentative - smooth).tocsr()
+        del tentative, smooth
+        levels.append((a, inv_d, prolong))
+        a = (prolong.T @ (a @ prolong)).tocsr()
+    return levels, splu(a.tocsc())
+
+
+def _vcycle(levels, coarsest, b):
+    """One V-cycle from zero: a damped-Jacobi step before and after each
+    coarse correction, so the preconditioner is symmetric."""
+    if not levels:
+        return coarsest.solve(b)
+    a, inv_d, prolong = levels[0]
+    x = SMOOTHING * inv_d * b
+    x += prolong @ _vcycle(levels[1:], coarsest, prolong.T @ (b - a @ x))
+    x += SMOOTHING * inv_d * (b - a @ x)
+    return x
+
+
+def _multilevel(lap, cells):
+    """V-cycle preconditioner of ``lap``; the hierarchy is built on first use,
+    so a solve whose CG does not iterate never builds it."""
+    hierarchy = []
+
+    def apply(b):
+        if not hierarchy:
+            hierarchy.extend(_hierarchy(lap, cells))
+        return _vcycle(*hierarchy, b)
+
+    return LinearOperator(lap.shape, matvec=apply, dtype=float)
 
 
 def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
@@ -263,6 +349,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         "steps": [],
         "cg_iters": 0,
         "stop_reason": "converged",
+        "preconditioner": "jacobi",
     }
 
     if not solve_mask.any():
@@ -336,6 +423,17 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     def count_cg(_xk):
         diagnostics["cg_iters"] += 1
 
+    # At p = 2 the system is the same at every iteration, and on a Euclidean
+    # space its unknowns sit on a lattice that boxes can coarsen; elsewhere
+    # (gauge lattices, path metrics, reweighted or small systems) Jacobi.
+    multilevel = p == 2 and space.metric == "euclidean" and nf > COARSEST
+    if multilevel:
+        coords = space.coords[free_ids]
+        cells = np.rint((coords - coords.min(axis=0)) / lengths.min())
+        precond = _multilevel(lap, cells.astype(np.int64))
+        diagnostics["preconditioner"] = "multilevel"
+        del coords, cells
+
     rtol = max(tol / 10.0, 1e-13)
     # Newton forcing of the inner solves; at p = 2 one solve is exact.
     eta = rtol if p == 2 else FORCING
@@ -364,8 +462,9 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         atol = rtol * np.linalg.norm(rhs)
         if p != 2:
             atol = min(atol, rtol * g_scale / p)
-        inv_diag = 1.0 / np.maximum(diag, 1e-300)
-        precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)
+        if not multilevel:
+            inv_diag = 1.0 / np.maximum(diag, 1e-300)
+            precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)
         delta, _ = cg(lap, rhs - lap @ x, rtol=eta, atol=atol, maxiter=maxiter,
                       M=precond, callback=count_cg)
 

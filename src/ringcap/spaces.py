@@ -617,13 +617,18 @@ def verify_metric(space, samples=200, seed=0, pool_size=24, tol=1e-9):
 
     Draws a pool of source nodes (so path-metric rows are reused), then
     random triples (a, b, c) from the pool, and checks identity, symmetry
-    and the triangle inequality up to ``tol``.
+    and the triangle inequality up to ``tol``.  The rows of a path metric
+    come from one Dijkstra run over the whole pool.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     pool = rng.choice(space.n_nodes, size=min(pool_size, space.n_nodes), replace=False)
-    rows = {int(i): space.distances_from(int(i)) for i in pool}
+    if space.metric == "path":
+        block = dijkstra(space._graph(), directed=False, indices=pool)
+        rows = dict(zip(pool.tolist(), block))
+    else:
+        rows = {int(i): space.distances_from(int(i)) for i in pool}
 
     max_sym = 0.0
     max_tri = 0.0
@@ -685,17 +690,25 @@ def load_space(path, metric="path", params=None):
     if len(tokens) < 1 + n + m:
         raise ValueError("file shorter than header declares")
     coords, mass = None, np.zeros(n)
-    for line in tokens[1 : 1 + n]:
+    for number, line in enumerate(tokens[1 : 1 + n], start=2):
         parts = line.split()
-        i = int(parts[0])
-        if coords is None:
+        if coords is None and len(parts) >= 3:
             coords = np.zeros((n, len(parts) - 2))
+        if coords is None or len(parts) != coords.shape[1] + 2:
+            raise ValueError(f"line {number}: a node line needs an id, "
+                             "the coordinates and a mass")
+        i = int(parts[0])
+        if not 0 <= i < n:
+            raise ValueError(f"line {number}: node id {i} out of range")
         coords[i] = [float(v) for v in parts[1:-1]]
         mass[i] = float(parts[-1])
     edges = np.zeros((m, 2), dtype=np.int64)
     lengths = np.zeros(m)
     for e, line in enumerate(tokens[1 + n : 1 + n + m]):
         parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {2 + n + e}: an edge line needs two node "
+                             "ids and a length")
         edges[e] = (int(parts[0]), int(parts[1]))
         lengths[e] = float(parts[2])
     if params is None:

@@ -209,6 +209,29 @@ def test_unrefined_ladder_exits_2_and_writes_nothing(tmp_path):
          "refine_h": [0.01, 0.02, 0.04]}))
 
 
+@pytest.mark.parametrize("task,cfg_obj", [
+    ("sandwich", grid_cfg({"center": [0.0, 0.0], "r": 0.1, "R": 0.4, "p": 2.0,
+                           "q_center": 2.0})),
+    ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0})),
+    ("singleton-limit", line_cfg({"center": [0.0], "R": 1.0, "r_list": [0.5, 0.25],
+                                  "p": 2.0})),
+])
+def test_tasks_without_an_iteration_cap_reject_max_iter(tmp_path, task, cfg_obj):
+    # these tasks pass no cap to the library, so the key would be dropped
+    cfg_obj["task"]["max_iter"] = 1
+    assert_rejected(tmp_path, task, cfg_obj)
+
+
+def test_short_space_file_line_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("2 1\n0 0.0 1.0\n1 1.0 1.0\n0 1\n")
+    assert_rejected(tmp_path, "bounds", {
+        "space": {"kind": "file", "path": str(path)},
+        "task": {"center": [0.0], "r_list": [0.5], "R": 1.0, "p_list": [2.0],
+                 "q_center": 1.0}})
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_fit_rejects_a_short_csv_row(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("r,value\n1,1\n2,4\n3\n4,16\n5,25\n")
@@ -268,6 +291,7 @@ def test_solve_matches_the_line_value(tmp_path):
     assert payload["converged"]
     assert payload["stop_reason"] == "converged"
     assert payload["cg_iters"] > 0
+    assert payload["preconditioner"] == "jacobi"  # a line of 49 nodes
     with open(out / "field.csv") as fh:
         us = [float(row["u"]) for row in csv.DictReader(fh)]
     assert max(us) <= 1 + 1e-9 and min(us) >= -1e-9
@@ -329,6 +353,7 @@ def test_green_levels_and_refinement_trend(tmp_path):
     assert len(levels) == 5
     assert float(levels[0]["ratio"]) == pytest.approx(1.0, abs=1e-9)
     assert man["pole_solve"]["stop_reason"] == "converged"
+    assert man["pole_solve"]["preconditioner"] == "jacobi"
     assert len(man["level_solves"]) == 5
     # the (0, max G) level starts from the pole potential, its own minimizer
     assert man["level_solves"][0]["cg_iters"] == 0

@@ -299,3 +299,50 @@ def test_condenser_validation(patch2):
         solve_condenser(patch2, ring_condenser(patch2, c, 0.15, 0.5), 1.0)
     with pytest.raises(ValueError):
         solve_condenser(patch2, ring_condenser(patch2, c, 0.15, 0.5), 2.0, tol=0.0)
+
+
+# ----------------------------------------------------------------------
+# preconditioner choice
+# ----------------------------------------------------------------------
+
+def test_plane_ring_uses_the_multilevel_preconditioner(grid2_fine, monkeypatch):
+    c = origin_node(grid2_fine)
+    res = relative_capacity(grid2_fine, c, 0.25, 1.0, 2.0, tol=1e-8)
+    d = res.diagnostics
+    assert res.converged and d["preconditioner"] == "multilevel"
+    assert res.value == pytest.approx(2.0 * math.pi / math.log(4.0), rel=0.03)
+    # Jacobi-preconditioned CG took 276 iterations on this system
+    assert d["cg_iters"] < 0.1 * 276
+    # the same system under Jacobi: the preconditioner moves only rounding
+    monkeypatch.setattr(solver, "COARSEST", grid2_fine.n_nodes)
+    jacobi = relative_capacity(grid2_fine, c, 0.25, 1.0, 2.0, tol=1e-8)
+    assert jacobi.diagnostics["preconditioner"] == "jacobi"
+    assert res.value == pytest.approx(jacobi.value, rel=1e-10)
+
+
+def test_volume_ring_uses_the_multilevel_preconditioner():
+    # the c01 acceptance ring: r = 20h, closed form 4 pi r R / (R - r) = 8 pi
+    sp = build_euclidean_grid(3, 2.05, 0.05)
+    res = relative_capacity(sp, origin_node(sp), 1.0, 2.0, 2.0, tol=1e-6)
+    assert res.converged and res.diagnostics["preconditioner"] == "multilevel"
+    assert res.value == pytest.approx(radial_ring_capacity(3, 1.0, 2.0, 2.0), rel=0.05)
+
+
+@pytest.mark.parametrize("case", ["p3", "gauge", "path", "small"])
+def test_other_systems_keep_jacobi(request, case):
+    plane = request.getfixturevalue("grid2_fine")
+    space, r, big_r, p = plane, 0.25, 1.0, 2.0
+    if case == "p3":
+        p = 3.0
+    elif case == "gauge":
+        space, r, big_r = request.getfixturevalue("heis_graph"), 0.1, 0.35
+    elif case == "path":
+        space = DiscreteSpace(plane.coords, plane.mass, plane.edges,
+                              plane.edge_lengths, "path", SpaceParams())
+    else:
+        space, r, big_r = request.getfixturevalue("patch2"), 0.15, 0.5
+    cond = ring_condenser(space, origin_node(space), r, big_r)
+    res = solve_condenser(space, cond, p, tol=1e-6)
+    assert res.converged and res.diagnostics["preconditioner"] == "jacobi"
+    n_free = cond.domain.size - cond.inner.size
+    assert (n_free <= solver.COARSEST) == (case == "small")

@@ -293,6 +293,19 @@ def test_load_rejects_truncated_file(tmp_path, line3):
         load_space(path)
 
 
+@pytest.mark.parametrize("lines,number", [
+    (["0 0.0 1.0", "1 1.0 1.0", "0 1"], 4),  # an edge without its length
+    (["0 0.0 1.0", "1 1.0", "0 1 1.0"], 3),  # a node without its mass
+    (["0 0.0 1.0", "1 1.0 2.0 1.0", "0 1 1.0"], 3),  # a node of another dimension
+    (["0 0.0 1.0", "2 1.0 1.0", "0 1 1.0"], 3),  # a node id past the count
+])
+def test_load_names_the_line_of_a_malformed_record(tmp_path, lines, number):
+    path = tmp_path / "two.txt"
+    path.write_text("\n".join(["2 1"] + lines) + "\n")
+    with pytest.raises(ValueError, match=f"line {number}:"):
+        load_space(path)
+
+
 # ----------------------------------------------------------------------
 # builder validation
 # ----------------------------------------------------------------------
