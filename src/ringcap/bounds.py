@@ -47,17 +47,17 @@ def _check_ring(r, R, p):
         raise ValueError("exponent p must exceed 1")
 
 
-def regime(p, q_center, tol=REGIME_TOL) -> str:
+def regime(p, q_center) -> str:
     """Classify the exponent against the pointwise dimension.
 
-    Returns "below", "critical" or "above"; ties within ``tol`` are
+    Returns "below", "critical" or "above"; ties within ``REGIME_TOL`` are
     critical.
     """
     if p <= 1:
         raise ValueError("exponent p must exceed 1")
     if not np.isfinite(q_center) or q_center < 1:
         raise ValueError("pointwise dimension must be finite and at least 1")
-    if abs(p - q_center) <= tol:
+    if abs(p - q_center) <= REGIME_TOL:
         return "critical"
     return "below" if p < q_center else "above"
 
@@ -193,6 +193,7 @@ class SingletonLimit:
     capacities: np.ndarray
     limit_estimate: float
     last_relative_change: float
+    converged: np.ndarray  # whether the solve at each radius converged
 
     @property
     def decreasing(self) -> bool:
@@ -221,9 +222,9 @@ def singleton_capacity_limit(space, center, p, R, radii, tol=1e-8) -> SingletonL
             "inner radii below 5 grid spacings cannot resolve the ring; "
             "refine the grid instead"
         )
-    caps = np.array([
-        relative_capacity(space, center, float(r), R, p, tol=tol).value
-        for r in radii
-    ])
+    caps, converged = np.zeros(radii.size), np.zeros(radii.size, dtype=bool)
+    for k, r in enumerate(radii):
+        res = relative_capacity(space, center, float(r), R, p, tol=tol)
+        caps[k], converged[k] = res.value, res.converged
     change = abs(caps[-1] - caps[-2]) / max(caps[-1], 1e-300)
-    return SingletonLimit(radii, caps, float(caps[-1]), float(change))
+    return SingletonLimit(radii, caps, float(caps[-1]), float(change), converged)

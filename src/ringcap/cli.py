@@ -462,7 +462,9 @@ def _task_green(task, space_spec, out, rng):
         "level_solves": [None if res is None else _solve_record(res)
                          for res in levels_rep.results],
     }
-    return artifacts, extras, sf.result.converged
+    converged = sf.result.converged and all(
+        res.converged for res in levels_rep.results if res is not None)
+    return artifacts, extras, converged
 
 
 def _task_singleton(task, space, out, rng):
@@ -480,7 +482,7 @@ def _task_singleton(task, space, out, rng):
         "last_relative_change": rep.last_relative_change,
         "decreasing": rep.decreasing,
     })
-    return ["singleton.csv", "singleton.json"], {}, True
+    return ["singleton.csv", "singleton.json"], {}, bool(rep.converged.all())
 
 
 def _task_regime_sweep(task, space, out, rng):

@@ -22,7 +22,14 @@ linear solve is exact there.  Inner solves are inexact Newton solves: CG
 stops at a fixed fraction of the current residual, with a floor below the
 outer gradient target.  A step that leaves the potential unchanged ends the
 solve as stagnated.  Components of the free region that the constraints
-cannot reach are zeroed and reported, never solved.
+cannot reach are zeroed and reported, never solved; the components come
+from the space, which labels them once (``DiscreteSpace.component_labels``).
+
+The system is set up once per condenser around one free index: a solved
+node's place in the unknown vector x, or the spare slot nf that all fixed
+nodes share.  With x padded by a 0 in that slot, ``padded[i] - padded[j]``
+is the slope of x on any edge, and every sum from edges to nodes is a
+``bincount`` of length nf + 1 whose spare entry is dropped.
 
 The preconditioner is chosen from the system, not set by the caller.  A
 p = 2 system on a Euclidean space with more than ``COARSEST`` free nodes
@@ -50,8 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .bounds import lower_bound, regime, upper_bound
@@ -86,15 +92,11 @@ SMOOTHING = 2.0 / 3.0  # damped-Jacobi weight of the multilevel smoothers
 class Condenser:
     """Inner plate and admissible domain, as node id arrays.
 
-    The potential is clamped to 1 on ``inner`` and to 0 outside
-    ``domain``; ring metadata is carried along when known.
+    The potential is clamped to 1 on ``inner`` and to 0 outside ``domain``.
     """
 
     inner: np.ndarray
     domain: np.ndarray
-    center: int | None = None
-    r: float | None = None
-    R: float | None = None
 
     def __post_init__(self):
         self.inner = np.asarray(self.inner, dtype=np.int64)
@@ -107,15 +109,14 @@ def ring_condenser(space, center, r, R) -> Condenser:
         raise ValueError("inner radius must be positive")
     if R <= r:
         raise ValueError("outer radius must exceed inner radius")
-    center = int(center)
-    d = space.distances_from(center)
+    d = space.distances_from(int(center))
     inner = np.nonzero(d <= r)[0]
     domain = np.nonzero(d < R)[0]
     if inner.size == 0:
         raise ValueError("inner ball contains no nodes")
     if inner.size == domain.size:
         raise ValueError("ring contains no free nodes (r too close to R)")
-    return Condenser(inner, domain, center=center, r=float(r), R=float(R))
+    return Condenser(inner, domain)
 
 
 @dataclass
@@ -139,10 +140,6 @@ class CapacityResult:
     residual: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-
-
-def _edge_energy(conductance, du, p):
-    return float((conductance * np.abs(du) ** p).sum())
 
 
 def _line_search(c, a, b, p, t_max, slope0):
@@ -325,21 +322,15 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     # Reachability: a free component must see both a 1-node and a 0-node
     # through positive conductances to pose a well-defined Dirichlet
     # problem.  One-sided components are constant plateaus (zero energy);
-    # fully unconstrained ones are zeroed and reported.
-    e_live = edges[live]
-    graph = coo_matrix(
-        (np.ones(e_live.shape[0], dtype=np.int8), (e_live[:, 0], e_live[:, 1])),
-        shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    del graph
-    has_one = np.zeros(labels.max() + 1, dtype=bool)
-    has_zero = np.zeros_like(has_one)
-    np.logical_or.at(has_one, labels, is_inner)
-    np.logical_or.at(has_zero, labels, ~in_domain)
-    plateau = free_mask & has_one[labels] & ~has_zero[labels]
-    unreachable = free_mask & ~has_one[labels]
+    # fully unconstrained ones are zeroed and reported.  The components
+    # depend on the space alone, which labels them once.
+    labels = space.component_labels()
+    has_one = np.bincount(labels, is_inner)[labels] > 0
+    has_zero = np.bincount(labels, ~in_domain)[labels] > 0
+    plateau = free_mask & has_one & ~has_zero
+    unreachable = free_mask & ~has_one
     u[plateau] = 1.0
-    solve_mask = free_mask & has_one[labels] & has_zero[labels]
+    solve_mask = free_mask & has_one & has_zero
 
     diagnostics = {
         "plateau_nodes": int(plateau.sum()),
@@ -352,73 +343,74 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         "preconditioner": "jacobi",
     }
 
-    if not solve_mask.any():
-        du = u[edges[:, 0]] - u[edges[:, 1]]
-        value = _edge_energy(conductance, du, p)
-        fld = field_from_values(space, u)
-        diagnostics["energy_trace"].append(value)
-        return CapacityResult(value, fld, 0, 0.0, True, diagnostics)
-
+    # Free index: place in x, or the spare nf for a fixed node.  The live
+    # edges with a free end make up the system; the other live edges carry
+    # the constant energy e_const.  On a system edge, u_i - u_j is the slope
+    # of x plus du_fixed, the slope of u at x = 0 (u is 0 on the free nodes).
     free_ids = np.nonzero(solve_mask)[0]
-    free_index = -np.ones(n, dtype=np.int32)
-    free_index[free_ids] = np.arange(free_ids.size, dtype=np.int32)
     nf = free_ids.size
+    free_index = np.full(n, nf, dtype=np.int32)
+    free_index[free_ids] = np.arange(nf, dtype=np.int32)
+    fi, fj = free_index[edges[:, 0]], free_index[edges[:, 1]]
+    touching = (fi < nf) | (fj < nf)
+    rest = np.nonzero(live & ~touching)[0]
+    du_rest = u[edges[rest, 0]] - u[edges[rest, 1]]
+    e_const = float((conductance[rest] * np.abs(du_rest) ** p).sum())
+    kept = np.nonzero(live & touching)[0]
+    fi, fj, c = fi[kept], fj[kept], conductance[kept]
+    du_fixed = u[edges[kept, 0]] - u[edges[kept, 1]]
+    del conductance, live, touching, rest, du_rest, kept
 
-    # Live edges touching a free node, ordered [only i free | both free |
-    # only j free] so that each group is a slice: i is free on [:i_end] and
-    # j on [j_start:].  The other live edges carry a constant energy.
-    fi, fj = free_index[e_live[:, 0]], free_index[e_live[:, 1]]
-    group = np.where(fi >= 0, np.where(fj >= 0, 1, 0), np.where(fj >= 0, 2, 3))
-    order = np.argsort(group, kind="stable")
-    counts = np.bincount(group, minlength=4)
-    j_start, i_end, m = counts[0], counts[0] + counts[1], counts[:3].sum()
-    c_live = conductance[live]
-    rest = order[m:]
-    e_const = _edge_energy(c_live[rest], u[e_live[rest, 0]] - u[e_live[rest, 1]], p)
-    order = order[:m]
-    ei = e_live[order, 0].astype(np.int32)
-    ej = e_live[order, 1].astype(np.int32)
-    c = c_live[order]
-    fi, fj = fi[order], fj[order]
-    u_fixed_j = u[ej[:j_start]]  # the fixed end of a half-free edge
-    u_fixed_i = u[ei[i_end:]]
-    del e_live, c_live, group, order, rest
+    def slopes(v):
+        """Slopes v_i - v_j of a free-node vector on the system edges."""
+        padded = np.append(v, 0.0)  # the spare slot: 0 at every fixed end
+        return padded[fi] - padded[fj]
 
-    # Free-node CSR pattern, built once: off-diagonal entries from the
-    # both-free edges, then the diagonal.  ``slot`` maps each entry to its
-    # place in ``data`` (repeated edges share a slot and are summed).
-    fib, fjb = fi[j_start:i_end], fj[j_start:i_end]
-    diag_ids = np.arange(nf, dtype=np.int64)
-    keys = np.concatenate((fib.astype(np.int64) * nf + fjb,
-                           fjb.astype(np.int64) * nf + fib,
-                           diag_ids * nf + diag_ids))
-    keys, slot = np.unique(keys, return_inverse=True)
-    nnz = keys.size
-    slot = slot.astype(np.int32)
-    lap = csr_matrix((np.zeros(nnz), (keys % nf).astype(np.int32),
-                      np.searchsorted(keys, np.arange(nf + 1) * nf).astype(np.int32)),
-                     shape=(nf, nf))
-    del fib, fjb, diag_ids, keys
-
-    def assemble(weights):
-        """Refill the weighted Laplacian, its diagonal and right-hand side."""
-        w = c * weights
-        diag = (np.bincount(fi[:i_end], w[:i_end], nf)
-                + np.bincount(fj[j_start:], w[j_start:], nf))
-        wb = w[j_start:i_end]
-        lap.data = np.bincount(slot, np.concatenate((-wb, -wb, diag)), nnz)
-        rhs = (np.bincount(fi[:j_start], w[:j_start] * u_fixed_j, nf)
-               + np.bincount(fj[i_end:], w[i_end:] * u_fixed_i, nf))
-        return diag, rhs
+    def node_sums(ends, values):
+        """Sum of edge values at each free node, over the given edge ends."""
+        return np.bincount(ends, values, nf + 1)[:nf]
 
     def edge_state(du):
         """Energy, free-node gradient and IRLS weight shape at edge slopes du."""
         power = np.maximum(np.abs(du), 1e-300) ** (p - 2.0)
         flow = p * c * power * du
         energy = e_const + float(flow @ du) / p
-        grad = (np.bincount(fi[:i_end], flow[:i_end], nf)
-                - np.bincount(fj[j_start:], flow[j_start:], nf))
+        grad = node_sums(fi, flow) - node_sums(fj, flow)
         return energy, grad, np.clip(power, WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
+
+    if nf == 0:
+        energy = edge_state(du_fixed)[0]
+        diagnostics["energy_trace"].append(energy)
+        return CapacityResult(energy, field_from_values(space, u), 0, 0.0, True,
+                              diagnostics)
+
+    # Free-node CSR pattern, built once: off-diagonal entries from the
+    # both-free edges, then the diagonal.  ``slot`` maps each entry to its
+    # place in ``data`` (repeated edges share a slot and are summed).
+    both = (fi < nf) & (fj < nf)
+    fib, fjb = fi[both], fj[both]
+    diag_ids = np.arange(nf, dtype=np.int64)
+    keys = np.concatenate((fib.astype(np.int64) * nf + fjb,
+                           fjb.astype(np.int64) * nf + fib,
+                           diag_ids * nf + diag_ids))
+    del fib, fjb, diag_ids
+    keys, slot = np.unique(keys, return_inverse=True)
+    nnz = keys.size
+    slot = slot.astype(np.int32)
+    lap = csr_matrix((np.zeros(nnz), (keys % nf).astype(np.int32),
+                      np.searchsorted(keys, np.arange(nf + 1) * nf).astype(np.int32)),
+                     shape=(nf, nf))
+    del keys
+
+    def assemble(weights):
+        """Refill the weighted Laplacian; return its diagonal and the
+        right-hand side, the pull of the fixed ends on the free ones."""
+        w = c * weights
+        diag = node_sums(fi, w) + node_sums(fj, w)
+        wb = w[both]
+        lap.data = np.bincount(slot, np.concatenate((-wb, -wb, diag)), nnz)
+        w *= du_fixed
+        return diag, node_sums(fj, w) - node_sums(fi, w)
 
     def count_cg(_xk):
         diagnostics["cg_iters"] += 1
@@ -439,15 +431,14 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     eta = rtol if p == 2 else FORCING
     t_max = max(1.0, 1.0 / (p - 1.0))
     maxiter = 50 * int(np.sqrt(nf) + 100)
-    x = u[free_ids]
-    du = u[ei] - u[ej]
+    x = np.zeros(nf)
+    du = du_fixed
     energy, grad, _ = edge_state(du)
-    shape = np.ones(m)  # harmonic initialization
+    shape = np.ones(c.size)  # harmonic initialization
     g_scale = max(np.abs(grad).max(), 1e-300)
     if x0 is not None:
         x = np.clip(x0[free_ids], 0.0, 1.0)
-        u[free_ids] = x
-        du = u[ei] - u[ej]
+        du = slopes(x) + du_fixed
         energy, grad, shape = edge_state(du)
     diagnostics["energy_trace"].append(energy)
 
@@ -471,24 +462,19 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         if p == 2:
             t = 1.0  # the energy is quadratic and delta its minimizer
         else:
-            ddu = np.zeros(m)
-            ddu[:i_end] = delta[fi[:i_end]]
-            ddu[j_start:] -= delta[fj[j_start:]]
-            t = _line_search(c, du, ddu, p, t_max, float(grad @ delta))
+            t = _line_search(c, du, slopes(delta), p, t_max, float(grad @ delta))
         x_new = x + t * delta
         energy_new = energy
         moved = not np.array_equal(x_new, x)
         if moved:
-            u[free_ids] = x_new
-            du_new = u[ei] - u[ej]
+            du_new = slopes(x_new) + du_fixed
             energy_try, grad_new, shape_new = edge_state(du_new)
+            # a step that rounding made ascend is not taken
             moved = energy_try <= energy * (1.0 + 1e-14)
             if moved:
                 x, du, grad, shape = x_new, du_new, grad_new, shape_new
                 energy_new = energy_try
                 diagnostics["steps"].append(t)
-            else:
-                u[free_ids] = x  # rounding made the step ascend; keep x
         diagnostics["energy_trace"].append(energy_new)
 
         residual = np.abs(grad).max() / g_scale
@@ -503,6 +489,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     else:
         diagnostics["stop_reason"] = "max_iter"
 
+    u[free_ids] = x
     trace = diagnostics["energy_trace"]
     descent_ok = all(b <= a * (1.0 + 1e-12) + 1e-300 for a, b in zip(trace, trace[1:]))
     diagnostics["descent_ok"] = bool(descent_ok)
@@ -576,21 +563,17 @@ class MonotonicityReport:
     all_pass: bool
 
 
-def monotonicity_suite(space, p, seed=0, n_pairs=50, tol=1e-6,
-                       center=None) -> MonotonicityReport:
+def monotonicity_suite(space, p, seed=0, n_pairs=50, tol=1e-6) -> MonotonicityReport:
     """Randomized set-monotonicity checks of the solved capacity.
 
-    For nested radii r1 < r2 < R1 < R2 around a center the solver must
-    satisfy, up to tolerance,
+    For nested radii r1 < r2 < R1 < R2 around the node nearest the centroid
+    of the space the solver must satisfy, up to tolerance,
 
         cap(B(r1), B(R1)) <= cap(B(r2), B(R1))   (larger plate, more capacity)
         cap(B(r2), B(R1)) >= cap(B(r2), B(R2))   (larger domain, less capacity)
     """
     rng = np.random.default_rng(seed)
-    if center is None:
-        centroid = space.coords.mean(axis=0)
-        center = space.nearest_node(centroid)
-    center = int(center)
+    center = space.nearest_node(space.coords.mean(axis=0))
     d = space.distances_from(center)
     d_max = float(d.max())
     h = space.params.resolution

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
     "SpaceParams",
@@ -113,6 +113,7 @@ class DiscreteSpace:
         self._row = None  # (center, distance row) of the latest query
         self._adjacency = None
         self._edge_mass = None
+        self._labels = None
         if metric != "path" and edges.size:
             d = self._pair_distance(edges[:, 0], edges[:, 1])
             err = np.abs(d - edge_lengths) / np.maximum(1.0, np.abs(d))
@@ -150,6 +151,17 @@ class DiscreteSpace:
             m = self.mass
             self._edge_mass = 0.5 * (m[self.edges[:, 0]] + m[self.edges[:, 1]])
         return self._edge_mass
+
+    def component_labels(self) -> np.ndarray:
+        """Component label of each node in the graph of the edges with
+        positive edge mass; an edge between zero-mass nodes joins nothing."""
+        if self._labels is None:
+            i, j = self.edges[self.edge_masses() > 0].T
+            graph = coo_matrix((np.ones(i.size, dtype=np.int8), (i, j)),
+                               shape=(self.n_nodes, self.n_nodes))
+            del i, j
+            self._labels = connected_components(graph, directed=False)[1]
+        return self._labels
 
     # ------------------------------------------------------------------
     # metric
@@ -263,13 +275,6 @@ class DiscreteSpace:
 # ----------------------------------------------------------------------
 # Koranyi gauge
 # ----------------------------------------------------------------------
-
-
-def koranyi_norm(xyt) -> np.ndarray:
-    """Gauge (|z|^4 + 16 t^2)^(1/4) of points (x, y, t) in the group."""
-    xyt = np.asarray(xyt, dtype=float)
-    z2 = xyt[..., 0] ** 2 + xyt[..., 1] ** 2
-    return (z2 * z2 + 16.0 * xyt[..., 2] ** 2) ** 0.25
 
 
 def koranyi_distance(a, b) -> np.ndarray:
@@ -612,18 +617,19 @@ class MetricReport:
     failures: list = field(default_factory=list)
 
 
-def verify_metric(space, samples=200, seed=0, pool_size=24, tol=1e-9):
+def verify_metric(space, samples=200, seed=0):
     """Spot-check metric axioms on random node triples.
 
-    Draws a pool of source nodes (so path-metric rows are reused), then
+    Draws a pool of 24 source nodes (so path-metric rows are reused), then
     random triples (a, b, c) from the pool, and checks identity, symmetry
-    and the triangle inequality up to ``tol``.  The rows of a path metric
-    come from one Dijkstra run over the whole pool.
+    and the triangle inequality up to 1e-9.  The rows of a path metric come
+    from one Dijkstra run over the whole pool.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    tol = 1e-9
     rng = np.random.default_rng(seed)
-    pool = rng.choice(space.n_nodes, size=min(pool_size, space.n_nodes), replace=False)
+    pool = rng.choice(space.n_nodes, size=min(24, space.n_nodes), replace=False)
     if space.metric == "path":
         block = dijkstra(space._graph(), directed=False, indices=pool)
         rows = dict(zip(pool.tolist(), block))
@@ -673,13 +679,15 @@ def save_space(space, path):
             f.write(f"{i} {j} {_FMT % space.edge_lengths[e]}\n")
 
 
-def load_space(path, metric="path", params=None):
+def load_space(path, metric="path"):
     """Read a space written by :func:`save_space`.
 
     The file stores no metric kind; by default the loaded space uses the
     shortest-path metric of its edge graph, which is the only metric
     recoverable from the file.  Pass ``metric="euclidean"`` or
     ``"koranyi"`` when the coordinates are known to carry that structure.
+    The file stores no resolution either: the space gets the default
+    :class:`SpaceParams`.
     """
     with open(path) as f:
         tokens = f.read().split("\n")
@@ -711,6 +719,4 @@ def load_space(path, metric="path", params=None):
                              "ids and a length")
         edges[e] = (int(parts[0]), int(parts[1]))
         lengths[e] = float(parts[2])
-    if params is None:
-        params = SpaceParams()
-    return DiscreteSpace(coords, mass, edges, lengths, metric, params)
+    return DiscreteSpace(coords, mass, edges, lengths, metric, SpaceParams())

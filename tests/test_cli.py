@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ringcap import cli
+from ringcap import cli, green
 from ringcap.spaces import build_euclidean_grid, save_space
 
 
@@ -375,6 +375,24 @@ def test_green_refinement_requires_an_exponent(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
+def test_green_exits_3_when_a_level_solve_does_not_converge(tmp_path,
+                                                            monkeypatch):
+    solve = green.solve_condenser
+
+    def level_solves_fail(*args, x0=None, **kwargs):
+        res = solve(*args, x0=x0, **kwargs)
+        res.converged = x0 is None  # only the level solves pass a guess
+        return res
+
+    monkeypatch.setattr(green, "solve_condenser", level_solves_fail)
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "euclidean_grid", "n": 1, "half_extent": 1.2,
+                  "h": 0.04},
+        "task": {"center": [0.0], "R": 1.0, "p": 2.0}})
+    assert cli.main(["green", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 3
+
+
 def test_singleton_limit_on_the_line(tmp_path):
     # dyadic spacing keeps every requested radius exactly on a node, so the
     # chain gaps (and hence the capacities) come out in closed form
@@ -391,6 +409,21 @@ def test_singleton_limit_on_the_line(tmp_path):
     assert payload["limit_estimate"] == pytest.approx(2.0 / 0.625, rel=1e-6)
     with open(out / "singleton.csv") as fh:
         assert len(list(csv.DictReader(fh))) == 3
+
+
+def test_singleton_limit_exits_3_when_a_solve_does_not_converge(tmp_path):
+    # at tol 1e-15 the r = 0.5 solve stagnates at rounding level
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "euclidean_grid", "n": 2, "half_extent": 1.05,
+                  "h": 0.05},
+        "task": {"center": [0.0, 0.0], "R": 1.0, "r_list": [0.5, 0.4, 0.3],
+                 "p": 3.5, "tol": 1e-15}})
+    out = tmp_path / "out"
+    assert cli.main(["singleton-limit", "--config", cfg, "--out", str(out),
+                     "--quiet"]) == 3
+    # the artifacts are still written
+    assert set(read_manifest(out)["artifacts"]) == {"singleton.csv",
+                                                    "singleton.json"}
 
 
 def test_regime_sweep_pairs_solves_with_estimates(tmp_path):

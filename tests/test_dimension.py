@@ -15,7 +15,7 @@ from ringcap import (
     local_dimension,
     pointwise_dimension,
 )
-from ringcap.dimension import fit_power_law, report_rows, report_text
+from ringcap.dimension import fit_power_law
 
 
 def test_dimension_from_doubling_constant():
@@ -95,15 +95,6 @@ def test_analyze_dimension_bundle(grid2_fine):
     assert len(rep.samples) == len(rep.radii)
     with pytest.raises(ValueError):
         analyze_dimension(grid2_fine, [c], 0.25)  # under 50 grid steps
-
-
-def test_report_renderings(grid2_fine):
-    rep = analyze_dimension(grid2_fine, [origin_node(grid2_fine)], 1.0)
-    text = report_text(rep)
-    assert "q_local" in text and "q_point[" in text
-    header, rows = report_rows(rep)
-    assert header == ["node", "radius", "ball_mass"]
-    assert len(rows) == len(rep.samples)
 
 
 def test_ahlfors_regular_plane(grid2_fine):

@@ -22,6 +22,7 @@ from ringcap import (
     ring_condenser,
     solve_condenser,
     solver,
+    spaces,
     verify_sandwich,
 )
 
@@ -146,6 +147,54 @@ def test_disconnected_component_is_reported_unreachable():
     assert res.diagnostics["unreachable_nodes"] == 5
     assert res.diagnostics["plateau_nodes"] == 10
     assert np.all(res.field.u[11:] == 0.0)
+
+
+def unit_chain(masses, extra_edges=()):
+    """Chain 0 - 1 - ... of unit edges, with optional repeated edges."""
+    n = len(masses)
+    edges = [[k, k + 1] for k in range(n - 1)] + [list(e) for e in extra_edges]
+    return DiscreteSpace(np.arange(n, dtype=float)[:, None], masses, edges,
+                         np.ones(len(edges)), "euclidean", SpaceParams())
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_repeated_edge_acts_as_one_with_summed_conductance(p):
+    # conductances 1, 1, 2, 2, 1, 1 in series from node 0 to node 6
+    sp = unit_chain(np.ones(7), extra_edges=[(2, 3), (4, 3)])
+    res = solve_condenser(sp, Condenser(np.array([0]), np.arange(6)), p,
+                          tol=1e-10)
+    series = (4.0 + 2.0 * 2.0 ** (-1.0 / (p - 1.0))) ** (1.0 - p)
+    assert res.converged
+    assert res.value == pytest.approx(series, rel=1e-8)
+    assert series == pytest.approx(0.2 if p == 2 else 0.0341137, rel=1e-5)
+
+
+def test_edge_between_massless_nodes_joins_no_components():
+    # the edge 2 - 3 has mass 0: {1, 2} sees only the plate, {3} only node 4
+    sp = unit_chain(np.array([1.0, 1.0, 0.0, 0.0, 1.0]))
+    res = solve_condenser(sp, Condenser(np.array([0]), np.arange(4)), 2.0)
+    assert res.value == 0.0 and res.converged
+    assert res.diagnostics["plateau_nodes"] == 2
+    assert res.diagnostics["unreachable_nodes"] == 1
+    assert np.array_equal(res.field.u, [1.0, 1.0, 1.0, 0.0, 0.0])
+
+
+def test_components_are_labelled_once_per_space(patch2, monkeypatch):
+    calls = []
+    original = spaces.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "connected_components", counted)
+    sp = DiscreteSpace(patch2.coords, patch2.mass, patch2.edges,
+                       patch2.edge_lengths, "euclidean", SpaceParams(0.05))
+    c = origin_node(sp)
+    first = relative_capacity(sp, c, 0.15, 0.5, 2.0)
+    second = relative_capacity(sp, c, 0.2, 0.45, 3.0)
+    assert first.converged and second.converged
+    assert len(calls) == 1
 
 
 def test_nonconvergence_is_flagged_not_raised(patch2):
