@@ -12,8 +12,9 @@ envelopes whose shape switches at the critical exponent p = q:
 Each envelope is a scale statement: it pins the exponents of r, R and the
 ball mass but holds only up to a multiplicative structure constant, which
 is normalized to 1 here.  All remaining factors are written out exactly,
-so values are reproducible numbers rather than order estimates.  A pointwise Riesz-type potential of the gradient and a
-singleton (capacity of a shrinking ball) helper complete the module.
+so values are reproducible numbers rather than order estimates.  A
+pointwise Riesz-type potential of the gradient and a singleton (capacity
+of a shrinking ball) helper complete the module.
 """
 
 from __future__ import annotations

@@ -409,7 +409,8 @@ def _level_fractions(value):
 
 
 def _refinement_trend(space_spec, point, big_r, p, q_center, hs, tol):
-    """The green_trend.json record of the pole value over grid steps ``hs``."""
+    """The green_trend.json record of the pole value over grid steps ``hs``,
+    and whether every pole solve converged."""
     levels = []
     for h in hs:
         sp = build_space(space_spec, h_override=h)
@@ -424,7 +425,7 @@ def _refinement_trend(space_spec, point, big_r, p, q_center, hs, tol):
         "log_slope": trend.log_slope,
         "log_residual": trend.log_residual,
         "bounded_change": trend.bounded_change,
-    }
+    }, bool(trend.converged.all())
 
 
 def _task_green(task, space_spec, out, rng):
@@ -445,7 +446,7 @@ def _task_green(task, space_spec, out, rng):
     sf = build_green(space, space.ball(center, big_r), center, p, rho=rho, tol=tol)
     pairs = [(a * sf.max_value, b * sf.max_value) for a, b in fractions]
     levels_rep = check_level_sets(space, sf, pairs, tol=tol)
-    trend = None if refine is None else _refinement_trend(
+    trend, trend_converged = (None, True) if refine is None else _refinement_trend(
         space_spec, space.coords[center], big_r, p, q_center, refine, tol)
     _write_csv(out / "green_field.csv", ["id", "G"],
                [np.arange(space.n_nodes), sf.values])
@@ -462,7 +463,7 @@ def _task_green(task, space_spec, out, rng):
         "level_solves": [None if res is None else _solve_record(res)
                          for res in levels_rep.results],
     }
-    converged = sf.result.converged and all(
+    converged = trend_converged and sf.result.converged and all(
         res.converged for res in levels_rep.results if res is not None)
     return artifacts, extras, converged
 

@@ -161,6 +161,7 @@ class TrendReport:
     log_slope: float    # slope of max G against log(1/h)
     log_residual: float
     bounded_change: float  # relative spread of max G across levels
+    converged: np.ndarray  # whether the pole solve at each level converged
 
     @property
     def bounded(self) -> bool:
@@ -181,8 +182,10 @@ def blowup_trend(levels, p, q_center, tol=1e-6) -> TrendReport:
     hs = np.array([space.params.resolution for space, _, _ in levels])
     if not np.all(np.diff(hs) < 0):
         raise ValueError("resolution levels must be strictly refining")
-    gmax = np.array([build_green(space, domain, center, p, tol=tol).max_value
-                     for space, domain, center in levels])
+    gmax, converged = np.zeros(hs.size), np.zeros(hs.size, dtype=bool)
+    for k, (space, domain, center) in enumerate(levels):
+        sf = build_green(space, domain, center, p, tol=tol)
+        gmax[k], converged[k] = sf.max_value, sf.result.converged
     which = regime(p, q_center)
     inv = 1.0 / hs
     power = fit_power_law(inv, gmax)
@@ -192,7 +195,7 @@ def blowup_trend(levels, p, q_center, tol=1e-6) -> TrendReport:
     log_residual = float(np.abs(gmax - fitted).max() / max(spread, 1e-300))
     bounded_change = float(spread / max(abs(gmax).max(), 1e-300))
     return TrendReport(which, hs, gmax, power.slope, float(log_slope),
-                       log_residual, bounded_change)
+                       log_residual, bounded_change, converged)
 
 
 @dataclass

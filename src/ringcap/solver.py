@@ -25,25 +25,29 @@ solve as stagnated.  Components of the free region that the constraints
 cannot reach are zeroed and reported, never solved; the components come
 from the space, which labels them once (``DiscreteSpace.component_labels``).
 
-The system is set up once per condenser around one free index: a solved
-node's place in the unknown vector x, or the spare slot nf that all fixed
-nodes share.  With x padded by a 0 in that slot, ``padded[i] - padded[j]``
-is the slope of x on any edge, and every sum from edges to nodes is a
-``bincount`` of length nf + 1 whose spare entry is dropped.
+The system is set up once per condenser as one sparse operator: the signed
+incidence matrix B of the system edges (the live edges with a free end) on
+the free nodes, with +1 at a free i end and -1 at a free j end.  The slopes
+of the unknown vector x are B x, the gradient is B^T of the edge flows, and
+the weighted Laplacian is B^T W B, whose right-hand side is the pull
+-B^T W du_fixed of the fixed ends.  Repeated edges add up in the products.
 
 The preconditioner is chosen from the system, not set by the caller.  A
-p = 2 system on a Euclidean space with more than ``COARSEST`` free nodes
-gets a smoothed-aggregation V-cycle (Vanek, Mandel and Brezina 1996): the
-free nodes are grouped into coordinate boxes three shortest edges a side,
-the piecewise-constant prolongation of the boxes is smoothed by one
-damped-Jacobi step, and Galerkin products P^T A P are coarsened again with
-boxes three times wider, down to a direct solve of at most ``COARSEST``
-unknowns.  One damped-Jacobi step before and one after each coarse
-correction keep it symmetric.  CG iterations then no longer grow like
-1 / h.  The hierarchy is built when CG first applies it and is freed with
-the solve.  Every other system keeps the diagonal (Jacobi) preconditioner:
-p != 2, where the weights change at every iteration; the gauge lattice and
-path metrics, whose nodes are not boxed by coordinates; and small systems.
+p = 2 system on a Euclidean space of at most three coordinates with more
+than ``COARSEST`` free nodes gets a smoothed-aggregation V-cycle (Vanek,
+Mandel and Brezina 1996): the free nodes are grouped into coordinate boxes
+three shortest edges a side, the piecewise-constant prolongation of the
+boxes is smoothed by one damped-Jacobi step, and Galerkin products
+P^T A P are coarsened again with boxes three times wider, down to a direct
+solve of at most ``COARSEST`` unknowns.  One damped-Jacobi step before and
+one after each coarse correction keep it symmetric.  CG iterations then no
+longer grow like 1 / h.  The hierarchy is built when CG first applies it
+and is freed with the solve.  Every other system keeps the diagonal
+(Jacobi) preconditioner: p != 2, where the weights change at every
+iteration; the gauge lattice and path metrics, whose nodes are not boxed
+by coordinates; grids of four or more coordinates, whose 81-cell boxes
+make the Galerkin levels so dense that a V-cycle costs more than the CG
+iterations it saves; and small systems.
 
 A solve may start from a guess ``x0`` (a nearly optimal potential, say),
 clipped to [0, 1] on the free nodes.  Its convergence is still judged
@@ -343,40 +347,38 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         "preconditioner": "jacobi",
     }
 
-    # Free index: place in x, or the spare nf for a fixed node.  The live
-    # edges with a free end make up the system; the other live edges carry
-    # the constant energy e_const.  On a system edge, u_i - u_j is the slope
-    # of x plus du_fixed, the slope of u at x = 0 (u is 0 on the free nodes).
+    # Free index: place in x, or -1 for a fixed node.  The live edges with a
+    # free end make up the system; the other live edges carry the constant
+    # energy e_const.  On a system edge, u_i - u_j is the slope B x plus
+    # du_fixed, the slope of u at x = 0 (u is 0 on the free nodes).
     free_ids = np.nonzero(solve_mask)[0]
     nf = free_ids.size
-    free_index = np.full(n, nf, dtype=np.int32)
+    free_index = np.full(n, -1, dtype=np.int32)
     free_index[free_ids] = np.arange(nf, dtype=np.int32)
-    fi, fj = free_index[edges[:, 0]], free_index[edges[:, 1]]
-    touching = (fi < nf) | (fj < nf)
+    ends = free_index[edges]
+    touching = (ends[:, 0] >= 0) | (ends[:, 1] >= 0)
     rest = np.nonzero(live & ~touching)[0]
     du_rest = u[edges[rest, 0]] - u[edges[rest, 1]]
     e_const = float((conductance[rest] * np.abs(du_rest) ** p).sum())
     kept = np.nonzero(live & touching)[0]
-    fi, fj, c = fi[kept], fj[kept], conductance[kept]
+    c = conductance[kept]
     du_fixed = u[edges[kept, 0]] - u[edges[kept, 1]]
-    del conductance, live, touching, rest, du_rest, kept
-
-    def slopes(v):
-        """Slopes v_i - v_j of a free-node vector on the system edges."""
-        padded = np.append(v, 0.0)  # the spare slot: 0 at every fixed end
-        return padded[fi] - padded[fj]
-
-    def node_sums(ends, values):
-        """Sum of edge values at each free node, over the given edge ends."""
-        return np.bincount(ends, values, nf + 1)[:nf]
+    # B row by row: +1 and -1 at the ends of each system edge, the fixed
+    # ends' entries set to 0 and then dropped.
+    ends = ends[kept]
+    b = csr_matrix((np.where(ends >= 0, [1.0, -1.0], 0.0).ravel(),
+                    np.maximum(ends, 0).ravel(), np.arange(0, ends.size + 1, 2)),
+                   shape=(kept.size, nf))
+    b.eliminate_zeros()
+    bt = b.T.tocsr()
+    del conductance, live, touching, rest, du_rest, kept, ends
 
     def edge_state(du):
         """Energy, free-node gradient and IRLS weight shape at edge slopes du."""
         power = np.maximum(np.abs(du), 1e-300) ** (p - 2.0)
         flow = p * c * power * du
         energy = e_const + float(flow @ du) / p
-        grad = node_sums(fi, flow) - node_sums(fj, flow)
-        return energy, grad, np.clip(power, WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
+        return energy, bt @ flow, np.clip(power, WEIGHT_FLOOR, 1.0 / WEIGHT_FLOOR)
 
     if nf == 0:
         energy = edge_state(du_fixed)[0]
@@ -384,47 +386,28 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         return CapacityResult(energy, field_from_values(space, u), 0, 0.0, True,
                               diagnostics)
 
-    # Free-node CSR pattern, built once: off-diagonal entries from the
-    # both-free edges, then the diagonal.  ``slot`` maps each entry to its
-    # place in ``data`` (repeated edges share a slot and are summed).
-    both = (fi < nf) & (fj < nf)
-    fib, fjb = fi[both], fj[both]
-    diag_ids = np.arange(nf, dtype=np.int64)
-    keys = np.concatenate((fib.astype(np.int64) * nf + fjb,
-                           fjb.astype(np.int64) * nf + fib,
-                           diag_ids * nf + diag_ids))
-    del fib, fjb, diag_ids
-    keys, slot = np.unique(keys, return_inverse=True)
-    nnz = keys.size
-    slot = slot.astype(np.int32)
-    lap = csr_matrix((np.zeros(nnz), (keys % nf).astype(np.int32),
-                      np.searchsorted(keys, np.arange(nf + 1) * nf).astype(np.int32)),
-                     shape=(nf, nf))
-    del keys
-
     def assemble(weights):
-        """Refill the weighted Laplacian; return its diagonal and the
-        right-hand side, the pull of the fixed ends on the free ones."""
-        w = c * weights
-        diag = node_sums(fi, w) + node_sums(fj, w)
-        wb = w[both]
-        lap.data = np.bincount(slot, np.concatenate((-wb, -wb, diag)), nnz)
-        w *= du_fixed
-        return diag, node_sums(fj, w) - node_sums(fi, w)
+        """The weighted Laplacian B^T W B and its right-hand side, the pull
+        of the fixed ends on the free ones."""
+        btw = csr_matrix((bt.data * (c * weights)[bt.indices], bt.indices,
+                          bt.indptr), shape=bt.shape)
+        return btw @ b, -(btw @ du_fixed)
 
     def count_cg(_xk):
         diagnostics["cg_iters"] += 1
 
     # At p = 2 the system is the same at every iteration, and on a Euclidean
-    # space its unknowns sit on a lattice that boxes can coarsen; elsewhere
-    # (gauge lattices, path metrics, reweighted or small systems) Jacobi.
-    multilevel = p == 2 and space.metric == "euclidean" and nf > COARSEST
+    # space of at most three coordinates its unknowns sit on a lattice that
+    # boxes can coarsen; elsewhere (gauge lattices, path metrics, 4-d grids,
+    # reweighted or small systems) Jacobi.
+    multilevel = (p == 2 and space.metric == "euclidean"
+                  and space.coords.shape[1] <= 3 and nf > COARSEST)
+    precond = None
     if multilevel:
         coords = space.coords[free_ids]
-        cells = np.rint((coords - coords.min(axis=0)) / lengths.min())
-        precond = _multilevel(lap, cells.astype(np.int64))
+        cells = np.rint((coords - coords.min(axis=0)) / lengths.min()).astype(np.int64)
         diagnostics["preconditioner"] = "multilevel"
-        del coords, cells
+        del coords
 
     rtol = max(tol / 10.0, 1e-13)
     # Newton forcing of the inner solves; at p = 2 one solve is exact.
@@ -438,7 +421,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     g_scale = max(np.abs(grad).max(), 1e-300)
     if x0 is not None:
         x = np.clip(x0[free_ids], 0.0, 1.0)
-        du = slopes(x) + du_fixed
+        du = b @ x + du_fixed
         energy, grad, shape = edge_state(du)
     diagnostics["energy_trace"].append(energy)
 
@@ -449,25 +432,27 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         # Correction of the IRLS step: L_w delta = b_w - L_w x.  Since
         # L_w x - b_w = grad / p, the floor rtol * g_scale / p keeps CG
         # iterating for as long as the outer gradient test can still fail.
-        diag, rhs = assemble(shape)
+        lap, rhs = assemble(shape)
         atol = rtol * np.linalg.norm(rhs)
         if p != 2:
             atol = min(atol, rtol * g_scale / p)
         if not multilevel:
-            inv_diag = 1.0 / np.maximum(diag, 1e-300)
+            inv_diag = 1.0 / np.maximum(lap.diagonal(), 1e-300)
             precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)
+        elif precond is None:  # the p = 2 system is the same at every iteration
+            precond = _multilevel(lap, cells)
         delta, _ = cg(lap, rhs - lap @ x, rtol=eta, atol=atol, maxiter=maxiter,
                       M=precond, callback=count_cg)
 
         if p == 2:
             t = 1.0  # the energy is quadratic and delta its minimizer
         else:
-            t = _line_search(c, du, slopes(delta), p, t_max, float(grad @ delta))
+            t = _line_search(c, du, b @ delta, p, t_max, float(grad @ delta))
         x_new = x + t * delta
         energy_new = energy
         moved = not np.array_equal(x_new, x)
         if moved:
-            du_new = slopes(x_new) + du_fixed
+            du_new = b @ x_new + du_fixed
             energy_try, grad_new, shape_new = edge_state(du_new)
             # a step that rounding made ascend is not taken
             moved = energy_try <= energy * (1.0 + 1e-14)

@@ -14,8 +14,9 @@ provided for
 Metrics are evaluated lazily, one row of distances from a centre at a
 time: closed-form for the Euclidean and gauge cases, Dijkstra over the edge
 graph for glued spaces.  Every space keeps the row of its latest query and
-hands it out read-only, so the calls that re-query one centre share a row.  Ball masses for any set of radii come from
-one pass over a row, without sorting it (:meth:`DiscreteSpace.ball_masses`).
+hands it out read-only, so the calls that re-query one centre share a row.
+Ball masses for any set of radii come from one pass over a row, without
+sorting it (:meth:`DiscreteSpace.ball_masses`).
 """
 
 from __future__ import annotations
@@ -669,14 +670,12 @@ def save_space(space, path):
     (``id x1 ... xk mass``) and one line per edge (``i j length``), with 17
     significant digits so values round-trip exactly.
     """
+    nodes = np.column_stack((np.arange(space.n_nodes), space.coords, space.mass))
+    edges = np.column_stack((space.edges, space.edge_lengths))
     with open(path, "w") as f:
         f.write(f"{space.n_nodes} {space.n_edges}\n")
-        for i in range(space.n_nodes):
-            xs = " ".join(_FMT % v for v in space.coords[i])
-            f.write(f"{i} {xs} {_FMT % space.mass[i]}\n")
-        for e in range(space.n_edges):
-            i, j = space.edges[e]
-            f.write(f"{i} {j} {_FMT % space.edge_lengths[e]}\n")
+        np.savetxt(f, nodes, fmt=["%d"] + [_FMT] * (nodes.shape[1] - 1))
+        np.savetxt(f, edges, fmt=["%d", "%d", _FMT])
 
 
 def load_space(path, metric="path"):

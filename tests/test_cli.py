@@ -393,6 +393,26 @@ def test_green_exits_3_when_a_level_solve_does_not_converge(tmp_path,
                      "--quiet"]) == 3
 
 
+def test_green_exits_3_when_a_refinement_solve_does_not_converge(tmp_path,
+                                                                 monkeypatch):
+    solve = green.solve_condenser
+
+    def refinement_solves_fail(space, *args, **kwargs):
+        res = solve(space, *args, **kwargs)
+        res.converged = space.params.resolution == 0.04  # the task's own line
+        return res
+
+    monkeypatch.setattr(green, "solve_condenser", refinement_solves_fail)
+    cfg = write_cfg(tmp_path, {
+        "space": {"kind": "euclidean_grid", "n": 1, "half_extent": 1.2,
+                  "h": 0.04},
+        "task": {"center": [0.0], "R": 1.0, "p": 2.0,
+                 "refine_h": [0.1, 0.05, 0.02], "q_center": 1.0}})
+    out = tmp_path / "o"
+    assert cli.main(["green", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert (out / "green_trend.json").exists()
+
+
 def test_singleton_limit_on_the_line(tmp_path):
     # dyadic spacing keeps every requested radius exactly on a node, so the
     # chain gaps (and hence the capacities) come out in closed form

@@ -167,6 +167,13 @@ def test_repeated_edge_acts_as_one_with_summed_conductance(p):
     assert res.converged
     assert res.value == pytest.approx(series, rel=1e-8)
     assert series == pytest.approx(0.2 if p == 2 else 0.0341137, rel=1e-5)
+    # repeating the plate edge (1, 0) too, at a fixed end: 2, 1, 2, 2, 1, 1
+    sp = unit_chain(np.ones(7), extra_edges=[(2, 3), (4, 3), (1, 0)])
+    res = solve_condenser(sp, Condenser(np.array([0]), np.arange(6)), p,
+                          tol=1e-10)
+    series = (3.0 + 3.0 * 2.0 ** (-1.0 / (p - 1.0))) ** (1.0 - p)
+    assert res.converged
+    assert res.value == pytest.approx(series, rel=1e-8)
 
 
 def test_edge_between_massless_nodes_joins_no_components():
@@ -377,7 +384,7 @@ def test_volume_ring_uses_the_multilevel_preconditioner():
     assert res.value == pytest.approx(radial_ring_capacity(3, 1.0, 2.0, 2.0), rel=0.05)
 
 
-@pytest.mark.parametrize("case", ["p3", "gauge", "path", "small"])
+@pytest.mark.parametrize("case", ["p3", "gauge", "path", "4d", "small"])
 def test_other_systems_keep_jacobi(request, case):
     plane = request.getfixturevalue("grid2_fine")
     space, r, big_r, p = plane, 0.25, 1.0, 2.0
@@ -388,6 +395,8 @@ def test_other_systems_keep_jacobi(request, case):
     elif case == "path":
         space = DiscreteSpace(plane.coords, plane.mass, plane.edges,
                               plane.edge_lengths, "path", SpaceParams())
+    elif case == "4d":
+        space, r, big_r = build_euclidean_grid(4, 0.55, 0.1), 0.2, 0.5
     else:
         space, r, big_r = request.getfixturevalue("patch2"), 0.15, 0.5
     cond = ring_condenser(space, origin_node(space), r, big_r)

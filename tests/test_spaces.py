@@ -256,6 +256,9 @@ def test_metric_checker_flags_identity_failure():
 def test_save_load_roundtrip_is_exact(tmp_path, grid2):
     path = tmp_path / "space.txt"
     save_space(grid2, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "0 -1.05 -1.05 0.00062500000000000012"  # id x y mass
+    assert lines[1 + grid2.n_nodes] == "0 43 0.050000000000000003"  # i j length
     back = load_space(path, metric="euclidean")
     assert np.array_equal(back.coords, grid2.coords)
     assert np.array_equal(back.mass, grid2.mass)
