@@ -375,7 +375,7 @@ def _task_solve(task, space, out, rng):
     artifacts = ["solve.json"]
     if field_dump:
         _write_csv(out / "field.csv", ["id", "u"],
-                   [np.arange(space.n_nodes), res.field.u])
+                   [np.arange(space.n_nodes), res.u])
         artifacts.append("field.csv")
     return artifacts, {}, res.converged
 

@@ -82,7 +82,7 @@ def build_green(space, domain, center, p, rho=None, tol=1e-6) -> SingularFunctio
     cap = res.value
     if cap <= 0:
         raise ValueError("condenser capacity vanished; domain has no boundary")
-    values = cap ** (1.0 / (1.0 - p)) * res.field.u
+    values = cap ** (1.0 / (1.0 - p)) * res.u
     return SingularFunction(values, center, float(p), float(rho), cap, domain, res)
 
 

@@ -65,14 +65,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .bounds import lower_bound, regime, upper_bound
-from .profiles import (
-    PotentialField,
-    field_from_values,
-    log_profile,
-    p_energy,
-    power_profile,
-    radialize,
-)
+from .profiles import log_profile, p_energy, power_profile, radialize
 
 __all__ = [
     "Condenser",
@@ -127,7 +120,8 @@ def ring_condenser(space, center, r, R) -> Condenser:
 class CapacityResult:
     """Minimizer and value of one condenser problem.
 
-    ``value`` is the edge-form p-energy of ``field.u`` (exactly);
+    ``u`` is the node potential; ``value`` is its edge-form p-energy as
+    the solve evaluated it, the last entry of ``energy_trace``.
     ``residual`` is the final constrained-gradient max-norm relative to its
     value at the cold start.  ``diagnostics`` holds the energy after each
     iteration (``energy_trace``), the accepted step lengths (``steps``), the
@@ -139,7 +133,7 @@ class CapacityResult:
     """
 
     value: float
-    field: PotentialField
+    u: np.ndarray
     iterations: int
     residual: float
     converged: bool
@@ -178,18 +172,6 @@ def _line_search(c, a, b, p, t_max, slope0):
     return lo if lo > 0 else t
 
 
-def _group_rows(cells):
-    """Distinct rows of an integer array, sorted, and the position of each
-    row among them."""
-    order = np.lexsort(cells.T[::-1])
-    ranked = cells[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty(order.size, dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    return ranked[new], group
-
-
 def _hierarchy(lap, cells):
     """Smoothed-aggregation levels of the SPD matrix ``lap``.
 
@@ -205,11 +187,13 @@ def _hierarchy(lap, cells):
     a = lap
     while a.shape[0] > COARSEST:
         cells = cells // 3
-        boxes, agg = _group_rows(cells)
-        n, n_agg = a.shape[0], boxes.shape[0]
+        dims = cells.max(axis=0) + 1
+        boxes, agg = np.unique(np.ravel_multi_index(cells.T, dims),
+                               return_inverse=True)
+        n, n_agg = a.shape[0], boxes.size
         if n_agg == n:
             continue  # boxes still hold one unknown each; widen them
-        cells = boxes
+        cells = np.column_stack(np.unravel_index(boxes, dims))
         inv_d = 1.0 / a.diagonal()
         tentative = csr_matrix((np.ones(n), agg, np.arange(n + 1)),
                                shape=(n, n_agg))
@@ -383,8 +367,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     if nf == 0:
         energy = edge_state(du_fixed)[0]
         diagnostics["energy_trace"].append(energy)
-        return CapacityResult(energy, field_from_values(space, u), 0, 0.0, True,
-                              diagnostics)
+        return CapacityResult(energy, u, 0, 0.0, True, diagnostics)
 
     def assemble(weights):
         """The weighted Laplacian B^T W B and its right-hand side, the pull
@@ -481,10 +464,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     diagnostics["u_min"] = float(u.min())
     diagnostics["u_max"] = float(u.max())
     diagnostics["range_ok"] = bool(u.min() >= -1e-6 and u.max() <= 1.0 + 1e-6)
-
-    fld = field_from_values(space, u)
-    value = p_energy(space, fld, p).edge
-    return CapacityResult(value, fld, iterations, float(residual), converged,
+    return CapacityResult(energy, u, iterations, float(residual), converged,
                           diagnostics)
 
 

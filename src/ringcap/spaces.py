@@ -685,8 +685,10 @@ def load_space(path, metric="path"):
     shortest-path metric of its edge graph, which is the only metric
     recoverable from the file.  Pass ``metric="euclidean"`` or
     ``"koranyi"`` when the coordinates are known to carry that structure.
-    The file stores no resolution either: the space gets the default
-    :class:`SpaceParams`.
+    The file stores no resolution either: the space's resolution is its
+    shortest edge length, which is the step h of every grid builder (the
+    glued balls' segment spacing when that is shorter; 1.0 for a file
+    without edges).
     """
     with open(path) as f:
         tokens = f.read().split("\n")
@@ -697,6 +699,7 @@ def load_space(path, metric="path"):
     if len(tokens) < 1 + n + m:
         raise ValueError("file shorter than header declares")
     coords, mass = None, np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
     for number, line in enumerate(tokens[1 : 1 + n], start=2):
         parts = line.split()
         if coords is None and len(parts) >= 3:
@@ -707,6 +710,9 @@ def load_space(path, metric="path"):
         i = int(parts[0])
         if not 0 <= i < n:
             raise ValueError(f"line {number}: node id {i} out of range")
+        if seen[i]:
+            raise ValueError(f"line {number}: node id {i} repeated")
+        seen[i] = True
         coords[i] = [float(v) for v in parts[1:-1]]
         mass[i] = float(parts[-1])
     edges = np.zeros((m, 2), dtype=np.int64)
@@ -718,4 +724,7 @@ def load_space(path, metric="path"):
                              "ids and a length")
         edges[e] = (int(parts[0]), int(parts[1]))
         lengths[e] = float(parts[2])
-    return DiscreteSpace(coords, mass, edges, lengths, metric, SpaceParams())
+    space = DiscreteSpace(coords, mass, edges, lengths, metric, SpaceParams())
+    if m:  # the lengths are checked positive by now
+        space.params = SpaceParams(resolution=float(lengths.min()))
+    return space

@@ -253,6 +253,23 @@ def test_file_space_builds_from_config(tmp_path):
     assert row["regime"] == "critical"
 
 
+def test_green_on_a_loaded_plane_matches_the_built_plane(tmp_path):
+    # the pole plate is three grid steps, so it needs the file's resolution
+    path = tmp_path / "plane.txt"
+    save_space(build_euclidean_grid(2, 0.55, 0.05), path)
+    task = {"center": [0.0, 0.0], "R": 0.5, "p": 2.0}
+    outs = []
+    for name, space in (("built", grid_cfg(task)["space"]),
+                        ("loaded", {"kind": "file", "path": str(path),
+                                    "metric": "euclidean"})):
+        cfg = write_cfg(tmp_path, {"space": space, "task": task}, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["green", "--config", cfg, "--out", str(out),
+                         "--quiet"]) == 0
+        outs.append((out / "green_field.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_bounds_table_and_validity_note(tmp_path):
     base = {"center": [0.0, 0.0], "r_list": [0.05, 0.1], "R": 0.5,
             "p_list": [2.0, 3.0], "q_center": 2.0}

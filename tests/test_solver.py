@@ -14,6 +14,7 @@ from ringcap import (
     DiscreteSpace,
     SpaceParams,
     build_euclidean_grid,
+    field_from_values,
     log_profile,
     monotonicity_suite,
     p_energy,
@@ -75,7 +76,7 @@ def test_harmonic_case_agrees_with_direct_sparse_solve(patch2):
     direct = float((w * (u[i] - u[j]) ** 2).sum())
 
     assert res.value == pytest.approx(direct, rel=1e-8)
-    assert np.abs(res.field.u - u).max() < 1e-7
+    assert np.abs(res.u - u).max() < 1e-7
 
 
 def test_plane_ring_near_radial_oracle(grid2_fine):
@@ -94,17 +95,45 @@ def test_capacity_scales_exactly_with_the_measure(patch2):
     assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
 
 
-def test_reported_value_is_the_field_energy(patch2):
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_reported_value_is_the_field_energy(patch2, p):
     c = origin_node(patch2)
-    res = relative_capacity(patch2, c, 0.15, 0.5, 3.0, tol=1e-7)
-    assert res.value == pytest.approx(p_energy(patch2, res.field, 3.0).edge, rel=1e-12)
+    res = relative_capacity(patch2, c, 0.15, 0.5, p, tol=1e-7)
+    edge = p_energy(patch2, field_from_values(patch2, res.u), p).edge
+    assert res.value == pytest.approx(edge, rel=1e-12)
+
+
+def plane_ring(grid2_fine, p, r):
+    return relative_capacity(grid2_fine, origin_node(grid2_fine), r, 1.0, p)
+
+
+def warm_ring(patch2):
+    cond = ring_condenser(patch2, origin_node(patch2), 0.15, 0.5)
+    guess = radialize(patch2, origin_node(patch2), log_profile(0.15, 0.5)).u
+    return solve_condenser(patch2, cond, 3.0, tol=1e-7, x0=guess)
+
+
+def all_plateau(patch2):
+    cond = Condenser([origin_node(patch2)], np.arange(patch2.n_nodes))
+    return solve_condenser(patch2, cond, 2.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g, patch2: plane_ring(g, 2.0, 0.3),
+    lambda g, patch2: plane_ring(g, 3.0, 0.1),
+    lambda g, patch2: warm_ring(patch2),
+    lambda g, patch2: all_plateau(patch2),  # no free node to solve for
+], ids=["p2-r0.3", "p3-r0.1", "warm", "no-free-node"])
+def test_value_is_the_last_traced_energy(grid2_fine, patch2, solve):
+    res = solve(grid2_fine, patch2)
+    assert res.value == res.diagnostics["energy_trace"][-1]
 
 
 def test_minimizer_stays_in_unit_interval(patch2):
     c = origin_node(patch2)
     res = relative_capacity(patch2, c, 0.15, 0.5, 4.0, tol=1e-7)
-    assert res.field.u.min() >= -1e-9
-    assert res.field.u.max() <= 1.0 + 1e-9
+    assert res.u.min() >= -1e-9
+    assert res.u.max() <= 1.0 + 1e-9
 
 
 def test_energy_descends_across_reweighting(patch2):
@@ -132,7 +161,7 @@ def test_whole_space_domain_has_zero_capacity_plateau(patch2):
     assert res.value == 0.0
     assert res.converged
     assert res.diagnostics["plateau_nodes"] == patch2.n_nodes - 1
-    assert np.all(res.field.u == 1.0)
+    assert np.all(res.u == 1.0)
 
 
 def test_disconnected_component_is_reported_unreachable():
@@ -146,7 +175,7 @@ def test_disconnected_component_is_reported_unreachable():
     assert res.value == 0.0
     assert res.diagnostics["unreachable_nodes"] == 5
     assert res.diagnostics["plateau_nodes"] == 10
-    assert np.all(res.field.u[11:] == 0.0)
+    assert np.all(res.u[11:] == 0.0)
 
 
 def unit_chain(masses, extra_edges=()):
@@ -183,7 +212,7 @@ def test_edge_between_massless_nodes_joins_no_components():
     assert res.value == 0.0 and res.converged
     assert res.diagnostics["plateau_nodes"] == 2
     assert res.diagnostics["unreachable_nodes"] == 1
-    assert np.array_equal(res.field.u, [1.0, 1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(res.u, [1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def test_components_are_labelled_once_per_space(patch2, monkeypatch):
@@ -255,7 +284,7 @@ def test_harmonic_solve_is_one_full_step(patch2):
 def test_start_from_the_solution_returns_at_once(patch2):
     cond = ring_condenser(patch2, origin_node(patch2), 0.15, 0.5)
     cold = solve_condenser(patch2, cond, 2.0, tol=1e-8)
-    warm = solve_condenser(patch2, cond, 2.0, tol=1e-8, x0=cold.field.u)
+    warm = solve_condenser(patch2, cond, 2.0, tol=1e-8, x0=cold.u)
     assert warm.converged and warm.diagnostics["stop_reason"] == "converged"
     assert warm.iterations == 1 and warm.diagnostics["cg_iters"] == 0
     assert warm.value == pytest.approx(cold.value, rel=1e-12)
@@ -292,9 +321,9 @@ def test_guess_is_clipped_and_ignored_on_the_constraints(patch2):
     outside = np.setdiff1d(np.arange(patch2.n_nodes), cond.domain)
     wild[outside] = 9.0
     res = solve_condenser(patch2, cond, 3.0, tol=1e-7, x0=wild)
-    assert np.all(res.field.u[cond.inner] == 1.0)
-    assert np.all(res.field.u[outside] == 0.0)
-    assert np.array_equal(res.field.u, base.field.u)
+    assert np.all(res.u[cond.inner] == 1.0)
+    assert np.all(res.u[outside] == 0.0)
+    assert np.array_equal(res.u, base.u)
     assert res.value == base.value
 
 

@@ -264,6 +264,7 @@ def test_save_load_roundtrip_is_exact(tmp_path, grid2):
     assert np.array_equal(back.mass, grid2.mass)
     assert np.array_equal(back.edges, grid2.edges)
     assert np.array_equal(back.edge_lengths, grid2.edge_lengths)
+    assert back.params.resolution == 0.05
 
 
 def test_load_accepts_permuted_node_lines(tmp_path, line_fine):
@@ -301,6 +302,7 @@ def test_load_rejects_truncated_file(tmp_path, line3):
     (["0 0.0 1.0", "1 1.0", "0 1 1.0"], 3),  # a node without its mass
     (["0 0.0 1.0", "1 1.0 2.0 1.0", "0 1 1.0"], 3),  # a node of another dimension
     (["0 0.0 1.0", "2 1.0 1.0", "0 1 1.0"], 3),  # a node id past the count
+    (["0 0.0 1.0", "0 1.0 1.0", "0 1 1.0"], 3),  # a node id given twice
 ])
 def test_load_names_the_line_of_a_malformed_record(tmp_path, lines, number):
     path = tmp_path / "two.txt"
