@@ -117,16 +117,14 @@ class PotentialField:
     u      : node values
     g_edge : |u_i - u_j| / length per edge
     lip    : per node, the largest incident edge quotient
-    gbar   : optional analytic upper-gradient bound (radial profiles only)
     """
 
     u: np.ndarray
     g_edge: np.ndarray
     lip: np.ndarray
-    gbar: np.ndarray | None = None
 
 
-def field_from_values(space, u, gbar=None) -> PotentialField:
+def field_from_values(space, u) -> PotentialField:
     """Wrap node values, computing edge quotients and node Lipschitz bounds."""
     u = np.asarray(u, dtype=float)
     if u.shape != (space.n_nodes,):
@@ -136,20 +134,12 @@ def field_from_values(space, u, gbar=None) -> PotentialField:
     lip = np.zeros(space.n_nodes)
     np.maximum.at(lip, i, g)
     np.maximum.at(lip, j, g)
-    return PotentialField(u, g, lip, gbar)
+    return PotentialField(u, g, lip)
 
 
 def radialize(space, center, profile) -> PotentialField:
-    """Compose a radial profile with the distance from a center node.
-
-    Since the distance function is 1-Lipschitz, |profile.deriv| evaluated
-    at the node distance is an analytic bound for the local gradient; it is
-    stored as ``gbar``.
-    """
-    d = space.distances_from(int(center))
-    u = profile(d)
-    gbar = np.abs(profile.deriv(d))
-    return field_from_values(space, u, gbar=gbar)
+    """Compose a radial profile with the distance from a center node."""
+    return field_from_values(space, profile(space.distances_from(int(center))))
 
 
 @dataclass

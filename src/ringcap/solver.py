@@ -33,21 +33,21 @@ the weighted Laplacian is B^T W B, whose right-hand side is the pull
 -B^T W du_fixed of the fixed ends.  Repeated edges add up in the products.
 
 The preconditioner is chosen from the system, not set by the caller.  A
-p = 2 system on a Euclidean space of at most three coordinates with more
-than ``COARSEST`` free nodes gets a smoothed-aggregation V-cycle (Vanek,
+system on a Euclidean space of at most three coordinates with more than
+``COARSEST`` free nodes gets a smoothed-aggregation V-cycle (Vanek,
 Mandel and Brezina 1996): the free nodes are grouped into coordinate boxes
 three shortest edges a side, the piecewise-constant prolongation of the
 boxes is smoothed by one damped-Jacobi step, and Galerkin products
 P^T A P are coarsened again with boxes three times wider, down to a direct
 solve of at most ``COARSEST`` unknowns.  One damped-Jacobi step before and
 one after each coarse correction keep it symmetric.  CG iterations then no
-longer grow like 1 / h.  The hierarchy is built when CG first applies it
-and is freed with the solve.  Every other system keeps the diagonal
-(Jacobi) preconditioner: p != 2, where the weights change at every
-iteration; the gauge lattice and path metrics, whose nodes are not boxed
-by coordinates; grids of four or more coordinates, whose 81-cell boxes
-make the Galerkin levels so dense that a V-cycle costs more than the CG
-iterations it saves; and small systems.
+longer grow like 1 / h, at any p: each IRLS iteration builds the hierarchy
+of its own matrix when CG first applies it, so a CG that does not iterate
+builds none.  Every other system keeps the diagonal (Jacobi)
+preconditioner: the gauge lattice and path metrics, whose nodes are not
+boxed by coordinates; grids of four or more coordinates, whose 81-cell
+boxes make the Galerkin levels so dense that a V-cycle costs more than
+the CG iterations it saves; and small systems.
 
 A solve may start from a guess ``x0`` (a nearly optimal potential, say),
 clipped to [0, 1] on the free nodes.  Its convergence is still judged
@@ -379,13 +379,11 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     def count_cg(_xk):
         diagnostics["cg_iters"] += 1
 
-    # At p = 2 the system is the same at every iteration, and on a Euclidean
-    # space of at most three coordinates its unknowns sit on a lattice that
-    # boxes can coarsen; elsewhere (gauge lattices, path metrics, 4-d grids,
-    # reweighted or small systems) Jacobi.
-    multilevel = (p == 2 and space.metric == "euclidean"
-                  and space.coords.shape[1] <= 3 and nf > COARSEST)
-    precond = None
+    # Coordinate boxes coarsen the unknowns of a Euclidean space of at most
+    # three coordinates, at any p; elsewhere (gauge lattices, path metrics,
+    # 4-d grids, small systems) Jacobi.
+    multilevel = (space.metric == "euclidean" and space.coords.shape[1] <= 3
+                  and nf > COARSEST)
     if multilevel:
         coords = space.coords[free_ids]
         cells = np.rint((coords - coords.min(axis=0)) / lengths.min()).astype(np.int64)
@@ -419,11 +417,11 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         atol = rtol * np.linalg.norm(rhs)
         if p != 2:
             atol = min(atol, rtol * g_scale / p)
-        if not multilevel:
+        if multilevel:
+            precond = _multilevel(lap, cells)
+        else:
             inv_diag = 1.0 / np.maximum(lap.diagonal(), 1e-300)
             precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)
-        elif precond is None:  # the p = 2 system is the same at every iteration
-            precond = _multilevel(lap, cells)
         delta, _ = cg(lap, rhs - lap @ x, rtol=eta, atol=atol, maxiter=maxiter,
                       M=precond, callback=count_cg)
 

@@ -666,14 +666,14 @@ def verify_metric(space, samples=200, seed=0):
 def save_space(space, path):
     """Write a space to a whitespace-separated text file.
 
-    Line 1: node count and edge count.  Then one line per node
+    Line 1: node count, edge count and resolution.  Then one line per node
     (``id x1 ... xk mass``) and one line per edge (``i j length``), with 17
     significant digits so values round-trip exactly.
     """
     nodes = np.column_stack((np.arange(space.n_nodes), space.coords, space.mass))
     edges = np.column_stack((space.edges, space.edge_lengths))
     with open(path, "w") as f:
-        f.write(f"{space.n_nodes} {space.n_edges}\n")
+        f.write(f"{space.n_nodes} {space.n_edges} {_FMT % space.params.resolution}\n")
         np.savetxt(f, nodes, fmt=["%d"] + [_FMT] * (nodes.shape[1] - 1))
         np.savetxt(f, edges, fmt=["%d", "%d", _FMT])
 
@@ -685,17 +685,22 @@ def load_space(path, metric="path"):
     shortest-path metric of its edge graph, which is the only metric
     recoverable from the file.  Pass ``metric="euclidean"`` or
     ``"koranyi"`` when the coordinates are known to carry that structure.
-    The file stores no resolution either: the space's resolution is its
-    shortest edge length, which is the step h of every grid builder (the
-    glued balls' segment spacing when that is shorter; 1.0 for a file
-    without edges).
+    The header's third field is the resolution, a positive finite number.
+    A header of two fields (a file written before the resolution was
+    stored) gives the space its shortest edge length as resolution, which
+    is the step h of every grid builder but not always of the glued balls
+    (1.0 for a file without edges).
     """
     with open(path) as f:
         tokens = f.read().split("\n")
     head = tokens[0].split()
-    if len(head) != 2:
+    if len(head) not in (2, 3):
         raise ValueError("malformed header line")
     n, m = int(head[0]), int(head[1])
+    resolution = float(head[2]) if len(head) == 3 else None
+    if resolution is not None and not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError("malformed header line: the resolution must be a "
+                         "positive finite number")
     if len(tokens) < 1 + n + m:
         raise ValueError("file shorter than header declares")
     coords, mass = None, np.zeros(n)
@@ -725,6 +730,8 @@ def load_space(path, metric="path"):
         edges[e] = (int(parts[0]), int(parts[1]))
         lengths[e] = float(parts[2])
     space = DiscreteSpace(coords, mass, edges, lengths, metric, SpaceParams())
-    if m:  # the lengths are checked positive by now
+    if resolution is not None:
+        space.params = SpaceParams(resolution=resolution)
+    elif m:  # the lengths are checked positive by now
         space.params = SpaceParams(resolution=float(lengths.min()))
     return space

@@ -94,14 +94,6 @@ def test_edge_and_node_forms_agree_within_power_of_two(ring_grid):
             assert 2.0**-p <= es.node / es.edge <= 2.0**p
 
 
-def test_radialize_stores_analytic_gradient_bound(ring_grid):
-    c = origin_node(ring_grid)
-    prof = log_profile(1.0, 2.0)
-    fld = radialize(ring_grid, c, prof)
-    d = ring_grid.distances_from(c)
-    assert np.array_equal(fld.gbar, np.abs(prof.deriv(d)))
-
-
 def test_field_from_values_shapes(grid2):
     with pytest.raises(ValueError):
         field_from_values(grid2, np.zeros(3))

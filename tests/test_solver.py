@@ -358,6 +358,22 @@ def test_sandwich_report_below_regime(grid3):
         assert rep.ratio_upper == pytest.approx(3.0 * (1 - x), rel=0.10)
 
 
+_EARLY_STOP = ("a large-p solve can stop on a small relative energy decrease "
+               "and a tiny gradient far above the minimum (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("p", [
+    1.5, 3.0, 4.0, 8.0,
+    pytest.param(12.0, marks=pytest.mark.xfail(strict=True, reason=_EARLY_STOP)),
+    pytest.param(16.0, marks=pytest.mark.xfail(strict=True, reason=_EARLY_STOP)),
+])
+def test_converged_solve_is_not_above_its_radial_profile(grid2, p):
+    # the radialized profile is admissible, so a converged capacity lies below
+    # its energy; at p = 12 the solve stops at 13.5 against a profile's 4.1
+    rep = verify_sandwich(grid2, origin_node(grid2), 0.1, 1.0, p, 2.0)
+    assert not rep.result.converged or rep.admissible_ok
+
+
 def test_sandwich_admissible_even_at_coarse_inner_radius(grid3):
     rep = verify_sandwich(grid3, origin_node(grid3), 0.1, 0.8, 2.0, 3.0)
     assert rep.admissible_ok
@@ -390,19 +406,23 @@ def test_condenser_validation(patch2):
 # preconditioner choice
 # ----------------------------------------------------------------------
 
-def test_plane_ring_uses_the_multilevel_preconditioner(grid2_fine, monkeypatch):
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_plane_ring_uses_the_multilevel_preconditioner(grid2_fine, monkeypatch, p):
     c = origin_node(grid2_fine)
-    res = relative_capacity(grid2_fine, c, 0.25, 1.0, 2.0, tol=1e-8)
+    res = relative_capacity(grid2_fine, c, 0.25, 1.0, p, tol=1e-8)
     d = res.diagnostics
     assert res.converged and d["preconditioner"] == "multilevel"
-    assert res.value == pytest.approx(2.0 * math.pi / math.log(4.0), rel=0.03)
-    # Jacobi-preconditioned CG took 276 iterations on this system
-    assert d["cg_iters"] < 0.1 * 276
-    # the same system under Jacobi: the preconditioner moves only rounding
+    if p == 2.0:
+        assert res.value == pytest.approx(2.0 * math.pi / math.log(4.0), rel=0.03)
+        # Jacobi-preconditioned CG took 276 iterations on this system
+        assert d["cg_iters"] < 0.1 * 276
+    # the same systems under Jacobi: the preconditioner moves only rounding,
+    # at every exponent, and saves most of the CG iterations
     monkeypatch.setattr(solver, "COARSEST", grid2_fine.n_nodes)
-    jacobi = relative_capacity(grid2_fine, c, 0.25, 1.0, 2.0, tol=1e-8)
+    jacobi = relative_capacity(grid2_fine, c, 0.25, 1.0, p, tol=1e-8)
     assert jacobi.diagnostics["preconditioner"] == "jacobi"
     assert res.value == pytest.approx(jacobi.value, rel=1e-10)
+    assert d["cg_iters"] < 0.25 * jacobi.diagnostics["cg_iters"]
 
 
 def test_volume_ring_uses_the_multilevel_preconditioner():
@@ -413,13 +433,11 @@ def test_volume_ring_uses_the_multilevel_preconditioner():
     assert res.value == pytest.approx(radial_ring_capacity(3, 1.0, 2.0, 2.0), rel=0.05)
 
 
-@pytest.mark.parametrize("case", ["p3", "gauge", "path", "4d", "small"])
+@pytest.mark.parametrize("case", ["gauge", "path", "4d", "small"])
 def test_other_systems_keep_jacobi(request, case):
     plane = request.getfixturevalue("grid2_fine")
-    space, r, big_r, p = plane, 0.25, 1.0, 2.0
-    if case == "p3":
-        p = 3.0
-    elif case == "gauge":
+    space, r, big_r = plane, 0.25, 1.0
+    if case == "gauge":
         space, r, big_r = request.getfixturevalue("heis_graph"), 0.1, 0.35
     elif case == "path":
         space = DiscreteSpace(plane.coords, plane.mass, plane.edges,
@@ -429,7 +447,7 @@ def test_other_systems_keep_jacobi(request, case):
     else:
         space, r, big_r = request.getfixturevalue("patch2"), 0.15, 0.5
     cond = ring_condenser(space, origin_node(space), r, big_r)
-    res = solve_condenser(space, cond, p, tol=1e-6)
+    res = solve_condenser(space, cond, 2.0, tol=1e-6)
     assert res.converged and res.diagnostics["preconditioner"] == "jacobi"
     n_free = cond.domain.size - cond.inner.size
     assert (n_free <= solver.COARSEST) == (case == "small")

@@ -267,6 +267,34 @@ def test_save_load_roundtrip_is_exact(tmp_path, grid2):
     assert back.params.resolution == 0.05
 
 
+def test_save_load_keeps_the_glued_balls_resolution(tmp_path):
+    # the segment spacing 1.03 / 21 is below the glued balls' step 0.05
+    glued = build_glued_balls(2, 0.05, 1.03)
+    assert glued.edge_lengths.min() < glued.params.resolution == 0.05
+    path = tmp_path / "glued.txt"
+    save_space(glued, path)
+    assert path.read_text().splitlines()[0].split()[2] == "0.050000000000000003"
+    assert load_space(path).params.resolution == 0.05
+
+
+def test_load_of_a_two_field_header_takes_the_shortest_edge(tmp_path):
+    glued = build_glued_balls(2, 0.05, 1.03)
+    path = tmp_path / "glued.txt"
+    save_space(glued, path)
+    lines = path.read_text().splitlines()
+    lines[0] = f"{glued.n_nodes} {glued.n_edges}"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_space(path).params.resolution == glued.edge_lengths.min()
+
+
+@pytest.mark.parametrize("token", ["0", "-0.05", "nan", "inf"])
+def test_load_rejects_a_resolution_that_is_not_positive_and_finite(tmp_path, token):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 1 {token}\n0 0.0 1.0\n1 1.0 1.0\n0 1 1.0\n")
+    with pytest.raises(ValueError, match="resolution"):
+        load_space(path)
+
+
 def test_load_accepts_permuted_node_lines(tmp_path, line_fine):
     path = tmp_path / "space.txt"
     save_space(line_fine, path)
