@@ -220,7 +220,7 @@ def _vcycle(levels, coarsest, b):
 
 def _multilevel(lap, cells):
     """V-cycle preconditioner of ``lap``; the hierarchy is built on first use,
-    so a solve whose CG does not iterate never builds it."""
+    so a CG that does not iterate never builds it."""
     hierarchy = []
 
     def apply(b):
