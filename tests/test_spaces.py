@@ -8,7 +8,14 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from conftest import origin_node
-from oracles import ball_volume, koranyi_ball_volume, weighted_ball_mass
+from oracles import (
+    ball_volume,
+    koranyi_ball_volume,
+    meshgrid_euclidean_grid,
+    meshgrid_heisenberg_grid,
+    weighted_ball_mass,
+)
+from ringcap import spaces
 from ringcap import (
     DiscreteSpace,
     SpaceParams,
@@ -29,6 +36,7 @@ from ringcap import (
 
 def test_gauge_distance_axis_point_is_exact():
     d = koranyi_distance(np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    assert np.ndim(d) == 0  # two single points give a scalar
     assert d == 1.0
 
 
@@ -120,13 +128,10 @@ def test_unit_step_line_has_three_nodes(line3):
 # distance rows: the latest row is kept, read-only
 # ----------------------------------------------------------------------
 
-def _gauge_row_reference(coords, c):
-    """Gauge distances from node c, written out as the pairwise formula."""
-    a = np.broadcast_to(coords[c], coords.shape)
-    dx = coords[:, 0] - a[:, 0]
-    dy = coords[:, 1] - a[:, 1]
-    dt = coords[:, 2] - a[:, 2] + 0.5 * (a[:, 1] * coords[:, 0] - a[:, 0] * coords[:, 1])
-    z2 = dx * dx + dy * dy
+def _gauge_one_shot(a, b):
+    """Gauge distances of a and b, the formula applied to all rows at once."""
+    z2 = (b[..., 0] - a[..., 0]) ** 2 + (b[..., 1] - a[..., 1]) ** 2
+    dt = b[..., 2] - a[..., 2] + 0.5 * (a[..., 1] * b[..., 0] - a[..., 0] * b[..., 1])
     return (z2 * z2 + 16.0 * dt * dt) ** 0.25
 
 
@@ -135,7 +140,7 @@ def _row_reference(space, c):
     if space.metric == "euclidean":
         return space._pair_distance(np.full(n, c), np.arange(n))
     if space.metric == "koranyi":
-        return _gauge_row_reference(space.coords, c)
+        return _gauge_one_shot(space.coords[c], space.coords)
     return dijkstra(space._graph(), directed=False, indices=c)
 
 
@@ -204,6 +209,134 @@ def test_ball_masses_match_brute_force(request, name):
     assert np.array_equal(space.ball_masses(c, radii.reshape(3, 3)), got.reshape(3, 3))
     with pytest.raises(ValueError):
         space.ball_masses(c, [0.1, -0.1])
+
+
+# ----------------------------------------------------------------------
+# builders and whole-space evaluations in blocks: bit-identical output
+# ----------------------------------------------------------------------
+
+def _arrays(space):
+    return space.coords, space.mass, space.edges, space.edge_lengths
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("n,half_extent,h", [
+    (1, 1.0, 0.01), (2, 1.05, 0.005), (3, 0.5, 0.02), (4, 0.3, 0.05),
+])
+def test_euclidean_grid_matches_the_meshgrid_construction(n, half_extent, h, alpha):
+    space = build_euclidean_grid(n, half_extent, h, alpha=alpha)
+    _assert_same_arrays(_arrays(space), meshgrid_euclidean_grid(n, half_extent, h, alpha))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(half_extent=0.4, h=0.05),
+    dict(half_extent=0.4, h=0.05, t_step=0.003),
+    dict(half_extent=0.66, h=0.03, t_half_extent=0.12, t_step=0.0012,
+         with_edges=False),
+], ids=["default_step", "t_step", "no_edges"])
+def test_heisenberg_grid_matches_the_meshgrid_construction(kwargs):
+    space = build_heisenberg_grid(**kwargs)
+    _assert_same_arrays(_arrays(space), meshgrid_heisenberg_grid(**kwargs))
+
+
+def test_gauge_distance_in_blocks_matches_the_one_shot_formula():
+    rng = np.random.default_rng(11)
+    rows = 2 * spaces._EVAL_BLOCK + 3
+    a = rng.normal(size=(rows, 3))
+    b = rng.normal(size=(rows, 3))
+    point = rng.normal(size=3)
+    for x, y in ((point, b), (a, point), (a, b)):
+        got = koranyi_distance(x, y)
+        assert got.shape == (rows,)
+        assert np.array_equal(got, _gauge_one_shot(x, y))
+
+
+def _unchunked_ball_masses(row, mass, radii):
+    """Ball masses from one table binned over all nodes at once."""
+    levels, which = np.unique(radii, return_inverse=True)
+    width = levels.size + 1
+    bins = np.searchsorted(levels, row, side="right")
+    block = max(spaces._SUM_BLOCK, width)
+    n_blocks = -(-row.size // block)
+    bins += np.repeat(width * np.arange(n_blocks), block)[: row.size]
+    table = np.bincount(bins, weights=mass, minlength=n_blocks * width)
+    per_level = np.ascontiguousarray(table.reshape(n_blocks, width).T).sum(axis=1)
+    return np.cumsum(per_level)[which].reshape(radii.shape)
+
+
+@pytest.mark.parametrize("count", [37, 2000])
+def test_ball_masses_match_the_unchunked_table(heis_probe, count):
+    space = heis_probe
+    assert space.n_nodes % spaces._EVAL_BLOCK != 0
+    c = space.n_nodes // 2
+    row = space.distances_from(c)
+    radii = np.random.default_rng(count).uniform(0.0, row.max(), size=count)
+    got = space.ball_masses(c, radii)
+    assert np.array_equal(got, _unchunked_ball_masses(row, space.mass, radii))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_euclidean_grid(2, 0.7, 0.005),
+    lambda: build_heisenberg_grid(0.4, 0.05),
+], ids=["euclidean", "koranyi"])
+def test_a_wrong_edge_length_in_the_last_block_raises(build):
+    space = build()
+    assert space.n_edges > 2 * spaces._EVAL_BLOCK
+    lengths = space.edge_lengths.copy()
+    lengths[-1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="edge lengths disagree with the metric"):
+        DiscreteSpace(space.coords, space.mass, space.edges, lengths,
+                      space.metric, space.params)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: build_heisenberg_grid(0.66, 0.03, t_half_extent=0.12,
+                                   t_step=0.0012, with_edges=False), 1.1),
+    (lambda: build_heisenberg_grid(0.6, 0.05), 1.25),
+    (lambda: build_euclidean_grid(2, 1.2, 0.005, alpha=1.0), 1.5),
+    (lambda: build_euclidean_grid(3, 0.6, 0.02), 1.5),
+], ids=["lattice", "lattice_with_edges", "weighted_plane", "grid3"])
+def test_builder_peak_stays_near_the_final_arrays(build, bound):
+    # builds from full index meshgrids peaked at 2.25, 4.21, 2.68 and 3.07
+    # times these bytes (1.03, 1.19, 1.26 and 1.20 now)
+    space, peak = _traced_peak(build)
+    final = sum(a.nbytes for a in _arrays(space))
+    assert peak <= bound * final
+
+
+@pytest.mark.parametrize("builds", [
+    [lambda t=t: build_heisenberg_grid(0.66, 0.03, t_half_extent=t,
+                                       t_step=0.0012, with_edges=False)
+     for t in (0.12, 0.4)],
+    [lambda h=h: build_euclidean_grid(2, 1.4, h) for h in (0.005, 0.0025)],
+], ids=["gauge", "plane"])
+def test_row_and_ball_mass_peak_does_not_grow_with_the_space(builds):
+    # a row and its ball masses need the row plus a few blocks, not 4 rows;
+    # the two spaces have about 0.3M and 1.3M nodes
+    above_row = []
+    for build in builds:
+        space = build()
+        origin = np.zeros(space.coords.shape[1])
+        _, peak = _traced_peak(lambda: space.ball_masses(
+            space.nearest_node(origin), np.linspace(0.0, 0.5, 50)))
+        above_row.append(peak - 8 * space.n_nodes)
+    assert abs(above_row[1] - above_row[0]) <= 1e6
 
 
 # ----------------------------------------------------------------------
