@@ -17,7 +17,6 @@ The package assembles one pipeline:
 
 from .spaces import (
     DiscreteSpace,
-    SpaceParams,
     build_double_cone,
     build_euclidean_grid,
     build_glued_balls,

@@ -217,7 +217,7 @@ def singleton_capacity_limit(space, center, p, R, radii, tol=1e-8) -> SingletonL
         raise ValueError("radii must be strictly decreasing")
     if radii[0] >= R:
         raise ValueError("inner radii must stay below the outer radius")
-    h = float(space.params.resolution)
+    h = float(space.resolution)
     if np.any(radii < 5.0 * h * (1.0 - 1e-12)):
         raise ValueError(
             "inner radii below 5 grid spacings cannot resolve the ring; "

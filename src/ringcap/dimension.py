@@ -68,7 +68,7 @@ def fit_power_law(x, y) -> PowerLawFit:
 
 
 def _radius_floor(space) -> float:
-    return 5.0 * space.params.resolution
+    return 5.0 * space.resolution
 
 
 def doubling_constant(space, sample_nodes, r_max) -> float:

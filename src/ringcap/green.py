@@ -66,7 +66,7 @@ def build_green(space, domain, center, p, rho=None, tol=1e-6) -> SingularFunctio
     domain = np.asarray(domain, dtype=np.int64)
     center = int(center)
     if rho is None:
-        rho = 3.0 * space.params.resolution
+        rho = 3.0 * space.resolution
     if rho <= 0:
         raise ValueError("pole radius must be positive")
     in_domain = np.zeros(space.n_nodes, dtype=bool)
@@ -179,7 +179,7 @@ def blowup_trend(levels, p, q_center, tol=1e-6) -> TrendReport:
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least three resolution levels")
-    hs = np.array([space.params.resolution for space, _, _ in levels])
+    hs = np.array([space.resolution for space, _, _ in levels])
     if not np.all(np.diff(hs) < 0):
         raise ValueError("resolution levels must be strictly refining")
     gmax, converged = np.zeros(hs.size), np.zeros(hs.size, dtype=bool)

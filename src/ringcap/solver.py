@@ -539,7 +539,7 @@ def monotonicity_suite(space, p, seed=0, n_pairs=50, tol=1e-6) -> MonotonicityRe
     center = space.nearest_node(space.coords.mean(axis=0))
     d = space.distances_from(center)
     d_max = float(d.max())
-    h = space.params.resolution
+    h = space.resolution
     if d_max < 8 * h:
         raise ValueError("space too small for radius sampling")
     trials, violations = [], []

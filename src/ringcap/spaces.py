@@ -1,9 +1,9 @@
 """Discrete metric measure spaces on regular grids.
 
-A :class:`DiscreteSpace` is a finite metric measure space: nodes with
-coordinates, a positive node measure (cell masses), a symmetric metric, and
-a neighbor graph whose edge lengths agree with the metric.  Generators are
-provided for
+A :class:`DiscreteSpace` is a finite metric measure space (X, d, mu) seen
+at a grid scale h: it holds node coordinates, one distance function d, a
+positive node measure mu (cell masses) and the step h, plus a neighbor
+graph whose edge lengths agree with d.  Generators are provided for
 
 * weighted Euclidean grids (node mass ``|x|^alpha * h^n``),
 * a discretization of the first Heisenberg group under the Koranyi gauge,
@@ -12,11 +12,13 @@ provided for
   metric of the glued complex.
 
 Metrics are evaluated lazily, one row of distances from a centre at a
-time: closed-form for the Euclidean and gauge cases, Dijkstra over the edge
-graph for glued spaces.  Every space keeps the row of its latest query and
-hands it out read-only, so the calls that re-query one centre share a row.
-Ball masses for any set of radii come from one pass over a row, without
-sorting it (:meth:`DiscreteSpace.ball_masses`).
+time: by one closed-form function per metric (Euclidean, gauge), picked
+once per space and used by every query, or by Dijkstra over the edge graph
+for glued spaces.  Every space keeps the row of its latest query and hands
+it out read-only, so the calls that re-query one centre share a row;
+:func:`verify_metric` asks for its rows like any other caller.  Ball
+masses for any set of radii come from one pass over a row, without sorting
+it (:meth:`DiscreteSpace.ball_masses`).
 
 Memory stays near the bytes of the space: the grid builders write their
 arrays in place at final size, and the whole-space evaluations (distance
@@ -31,11 +33,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 __all__ = [
-    "SpaceParams",
     "DiscreteSpace",
     "build_euclidean_grid",
     "build_heisenberg_grid",
@@ -60,46 +61,39 @@ _SUM_BLOCK = 1024
 _EVAL_BLOCK = 1 << 16
 
 
-@dataclass
-class SpaceParams:
-    """Structural constants attached to a space.
-
-    resolution : grid step h
-    """
-
-    resolution: float = 1.0
-
-    def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
-
-
 class DiscreteSpace:
-    """Finite metric measure space with a neighbor graph.
+    """Finite metric measure space (X, d, mu) seen at grid scale h, with a
+    neighbor graph.
 
     Parameters
     ----------
     coords : (n, k) array
-        Node coordinates.
+        Finite node coordinates.
     mass : (n,) array
         Nonnegative node masses (cell measure); total mass must be positive.
     edges : (m, 2) int array
         Neighbor pairs (i, j), i != j.
     edge_lengths : (m,) array
-        Metric length of each edge; must equal the node distance of the pair
-        to within 1e-12 relative (checked for closed-form metrics).
+        Positive finite metric length of each edge; must equal the node
+        distance of the pair to within 1e-12 relative (checked for
+        closed-form metrics).  A path metric takes the shortest copy of a
+        repeated edge.
     metric : {"euclidean", "koranyi", "path"}
         Closed-form metrics are evaluated from coordinates; "path" uses
         shortest paths over the weighted edge graph.
-    params : SpaceParams
+    resolution : float
+        Grid step h, positive and finite; it sets the library's radius
+        floors and plate sizes.
     """
 
-    def __init__(self, coords, mass, edges, edge_lengths, metric, params):
+    def __init__(self, coords, mass, edges, edge_lengths, metric, resolution):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         mass = np.asarray(mass, dtype=float)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         edge_lengths = np.asarray(edge_lengths, dtype=float)
         n = coords.shape[0]
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("node coordinates must be finite")
         if mass.shape != (n,):
             raise ValueError("mass must have one entry per node")
         if not np.all(np.isfinite(mass)) or np.any(mass < 0):
@@ -112,26 +106,33 @@ class DiscreteSpace:
             raise ValueError("self-loops are not allowed")
         if edge_lengths.shape != (edges.shape[0],):
             raise ValueError("edge_lengths must have one entry per edge")
-        if np.any(edge_lengths <= 0):
-            raise ValueError("edge lengths must be positive")
+        if not (np.all(edge_lengths > 0) and np.all(np.isfinite(edge_lengths))):
+            raise ValueError("edge lengths must be positive and finite")
         if metric not in ("euclidean", "koranyi", "path"):
             raise ValueError(f"unknown metric kind {metric!r}")
+        resolution = float(resolution)
+        if not (np.isfinite(resolution) and resolution > 0):
+            raise ValueError("resolution must be a positive finite number")
         self.coords = coords
         self.mass = mass
         self.edges = edges
         self.edge_lengths = edge_lengths
         self.metric = metric
-        self.params = params
+        self.resolution = resolution
+        # the closed form of the metric; a path space measures coordinate
+        # points against its nodes in the Euclidean distance
+        self._formula = koranyi_distance if metric == "koranyi" else _euclidean_distance
         self._row = None  # (center, distance row) of the latest query
         self._adjacency = None
         self._edge_mass = None
         self._labels = None
         if metric != "path":
             for start in range(0, edges.shape[0], _EVAL_BLOCK):
-                stop = start + _EVAL_BLOCK
-                d = self._pair_distance(edges[start:stop, 0], edges[start:stop, 1])
-                err = np.abs(d - edge_lengths[start:stop]) / np.maximum(1.0, np.abs(d))
-                if err.max() > 1e-12:
+                pairs = edges[start:start + _EVAL_BLOCK]
+                d = self._formula(coords[pairs[:, 0]], coords[pairs[:, 1]])
+                err = np.abs(d - edge_lengths[start:start + _EVAL_BLOCK])
+                err /= np.maximum(1.0, np.abs(d))
+                if not np.all(err <= 1e-12):  # NaN-safe
                     raise ValueError("edge lengths disagree with the metric")
 
     # ------------------------------------------------------------------
@@ -149,15 +150,6 @@ class DiscreteSpace:
     @property
     def total_mass(self) -> float:
         return float(self.mass.sum())
-
-    def mass_of(self, nodes) -> float:
-        """Total measure of a node set (empty set has mass 0)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return 0.0
-        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.n_nodes):
-            raise ValueError("node id out of range")
-        return float(self.mass[nodes].sum())
 
     def edge_masses(self) -> np.ndarray:
         """Mass attached to each edge: mean of the endpoint node masses."""
@@ -181,26 +173,6 @@ class DiscreteSpace:
     # metric
     # ------------------------------------------------------------------
 
-    def _pair_distance(self, i, j):
-        if self.metric == "euclidean":
-            diff = self.coords[i] - self.coords[j]
-            return np.sqrt((diff * diff).sum(axis=-1))
-        if self.metric == "koranyi":
-            return koranyi_distance(self.coords[i], self.coords[j])
-        raise RuntimeError("path metric has no closed form")
-
-    def _distances_to_point(self, point) -> np.ndarray:
-        """Closed-form distances from a coordinate point to every node: the
-        gauge for gauge spaces, the Euclidean coordinate distance otherwise."""
-        if self.metric == "koranyi":
-            return koranyi_distance(point, self.coords)
-        row = np.empty(self.n_nodes)
-        for start in range(0, self.n_nodes, _EVAL_BLOCK):
-            diff = self.coords[start:start + _EVAL_BLOCK] - point
-            np.multiply(diff, diff, out=diff)
-            np.sqrt(diff.sum(axis=1), out=row[start:start + _EVAL_BLOCK])
-        return row
-
     def distances_from(self, center: int) -> np.ndarray:
         """Distances from one node to every node, as a read-only row.
 
@@ -218,7 +190,7 @@ class DiscreteSpace:
         if self.metric == "path":
             row = dijkstra(self._graph(), directed=False, indices=center)
         else:
-            row = self._distances_to_point(self.coords[center])
+            row = self._formula(self.coords[center], self.coords)
         row.flags.writeable = False
         self._row = (center, row)
         return row
@@ -226,14 +198,22 @@ class DiscreteSpace:
     def distance(self, i: int, j: int) -> float:
         if self.metric == "path":
             return float(self.distances_from(i)[j])
-        return float(self._pair_distance(np.array([i]), np.array([j]))[0])
+        return float(self._formula(self.coords[i], self.coords[j]))
 
     def _graph(self):
+        """The edge graph as a CSR matrix of lengths; a repeated edge (i, j)
+        keeps its shortest copy, where COO to CSR would add the copies."""
         if self._adjacency is None:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            self._adjacency = coo_matrix(
-                (self.edge_lengths, (i, j)), shape=(self.n_nodes, self.n_nodes)
-            ).tocsr()
+            n = self.n_nodes
+            key = self.edges[:, 0] * n + self.edges[:, 1]
+            order = np.lexsort((self.edge_lengths, key))  # by (i, j), then length
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = key[order[1:]] != key[order[:-1]]
+            keep = order[first]
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.edges[keep, 0], minlength=n), out=indptr[1:])
+            self._adjacency = csr_matrix(
+                (self.edge_lengths[keep], self.edges[keep, 1], indptr), shape=(n, n))
         return self._adjacency
 
     def ball(self, center: int, r: float) -> np.ndarray:
@@ -249,7 +229,7 @@ class DiscreteSpace:
         return np.nonzero(self.distances_from(center) <= r)[0]
 
     def ball_mass(self, center: int, r: float) -> float:
-        return self.mass_of(self.ball(center, r))
+        return float(self.mass[self.ball(center, r)].sum())
 
     def ball_masses(self, center: int, radii) -> np.ndarray:
         """Open-ball masses mu(B(center, r)) for every radius in ``radii``.
@@ -297,12 +277,41 @@ class DiscreteSpace:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.coords.shape[1],):
             raise ValueError("point dimension mismatch")
-        return int(np.argmin(self._distances_to_point(point)))
+        return int(np.argmin(self._formula(point, self.coords)))
 
 
 # ----------------------------------------------------------------------
-# Koranyi gauge
+# closed-form metrics
 # ----------------------------------------------------------------------
+
+
+def _by_blocks(formula, a, b):
+    """``formula`` over rows of points ``a`` and ``b`` that broadcast
+    together, in blocks of rows: a point against the whole space needs a
+    few MB of temporaries, and each value is the one-pass value bit for
+    bit.  Two single points give a scalar."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a = np.broadcast_to(a, shape).reshape(-1, shape[-1])
+    b = np.broadcast_to(b, shape).reshape(-1, shape[-1])
+    out = np.empty(a.shape[0])
+    for start in range(0, out.size, _EVAL_BLOCK):
+        stop = start + _EVAL_BLOCK
+        out[start:stop] = formula(a[start:stop], b[start:stop])
+    return out.reshape(shape[:-1])[()]
+
+
+def _gauge(p, q):
+    z2 = (q[:, 0] - p[:, 0]) ** 2 + (q[:, 1] - p[:, 1]) ** 2
+    dt = q[:, 2] - p[:, 2] + 0.5 * (p[:, 1] * q[:, 0] - p[:, 0] * q[:, 1])
+    return (z2 * z2 + 16.0 * dt * dt) ** 0.25
+
+
+def _euclidean(p, q):
+    diff = q - p
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(diff.sum(axis=1))
 
 
 def koranyi_distance(a, b) -> np.ndarray:
@@ -313,22 +322,13 @@ def koranyi_distance(a, b) -> np.ndarray:
     t' - t + (y x' - x y')/2.
 
     ``a`` and ``b`` are points or rows of points that broadcast together.
-    The distances are evaluated in blocks of rows, so a point against the
-    whole space needs a few MB of temporaries beside the result; each
-    element is computed by the same formula as in one pass, bit for bit.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    a = np.broadcast_to(a, shape).reshape(-1, shape[-1])
-    b = np.broadcast_to(b, shape).reshape(-1, shape[-1])
-    out = np.empty(a.shape[0])
-    for start in range(0, out.size, _EVAL_BLOCK):
-        p, q = a[start:start + _EVAL_BLOCK], b[start:start + _EVAL_BLOCK]
-        z2 = (q[:, 0] - p[:, 0]) ** 2 + (q[:, 1] - p[:, 1]) ** 2
-        dt = q[:, 2] - p[:, 2] + 0.5 * (p[:, 1] * q[:, 0] - p[:, 0] * q[:, 1])
-        out[start:start + _EVAL_BLOCK] = (z2 * z2 + 16.0 * dt * dt) ** 0.25
-    return out.reshape(shape[:-1])[()]  # a scalar for two single points
+    return _by_blocks(_gauge, a, b)
+
+
+def _euclidean_distance(a, b) -> np.ndarray:
+    """Euclidean distance |b - a| of points or rows that broadcast together."""
+    return _by_blocks(_euclidean, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +379,15 @@ def _grid_edges(index_shape):
         np.add(step + strides[ax], slab, out=pairs[..., 1])
         at += size
     return edges
+
+
+def _masked_grid_edges(index_shape, inside):
+    """The edges of :func:`_grid_edges` with both ends inside the node mask,
+    in the same order, renumbered to the order of the kept nodes."""
+    edges = _grid_edges(index_shape)
+    edges = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    new_id = np.cumsum(inside, dtype=np.int64) - 1  # of the kept nodes
+    return new_id[edges]
 
 
 def build_euclidean_grid(n, half_extent, h, alpha=0.0):
@@ -438,8 +447,7 @@ def build_euclidean_grid(n, half_extent, h, alpha=0.0):
 
     edges = _grid_edges((count,) * n)
     lengths = np.full(edges.shape[0], h)
-    params = SpaceParams(resolution=h)
-    return DiscreteSpace(coords, mass, edges, lengths, "euclidean", params)
+    return DiscreteSpace(coords, mass, edges, lengths, "euclidean", h)
 
 
 def _heisenberg_edges(m, mk, h, t_step, horizontal):
@@ -549,8 +557,7 @@ def build_heisenberg_grid(half_extent, h, t_half_extent=None, t_step=None,
         exact = abs(t_step - default_step) <= 1e-15 * max(1.0, default_step)
         edges, lengths = _heisenberg_edges(m, mk, h, t_step, exact)
 
-    params = SpaceParams(resolution=h)
-    return DiscreteSpace(coords, cell, edges, lengths, "koranyi", params)
+    return DiscreteSpace(coords, cell, edges, lengths, "koranyi", h)
 
 
 def build_double_cone(n, half_extent, h):
@@ -567,18 +574,14 @@ def build_double_cone(n, half_extent, h):
         raise ValueError("grid step h must be positive")
     if half_extent < h:
         raise ValueError("half_extent must be at least one grid step")
-    full = build_euclidean_grid(n, half_extent, h, alpha=0.0)
-    c = full.coords
+    m = int(round(half_extent / h))
+    axis = h * np.arange(-m, m + 1)
+    c = _product_coords([axis] * n)
     inside = (c[:, :-1] ** 2).sum(axis=1) <= c[:, -1] ** 2 + 1e-12 * h * h
-    keep = np.nonzero(inside)[0]
-    remap = -np.ones(full.n_nodes, dtype=np.int64)
-    remap[keep] = np.arange(keep.size)
-    e = full.edges
-    e_ok = inside[e[:, 0]] & inside[e[:, 1]]
-    edges = remap[e[e_ok]]
-    lengths = full.edge_lengths[e_ok]
-    params = SpaceParams(resolution=h)
-    return DiscreteSpace(c[keep], full.mass[keep], edges, lengths, "euclidean", params)
+    mass = reduce(np.multiply.outer, [_axis_cell_widths(axis.size, h)] * n).ravel()
+    edges = _masked_grid_edges((axis.size,) * n, inside)
+    lengths = np.full(edges.shape[0], h)
+    return DiscreteSpace(c[inside], mass[inside], edges, lengths, "euclidean", h)
 
 
 def build_glued_balls(n, h, segment_length):
@@ -613,11 +616,7 @@ def build_glued_balls(n, h, segment_length):
     ball = cube[in_ball]
     nb = ball.shape[0]
 
-    cube_edges = _grid_edges((axis.size,) * n)
-    keep = in_ball[cube_edges[:, 0]] & in_ball[cube_edges[:, 1]]
-    remap = -np.ones(cube.shape[0], dtype=np.int64)
-    remap[in_ball] = np.arange(nb)
-    ball_edges = remap[cube_edges[keep]]
+    ball_edges = _masked_grid_edges((axis.size,) * n, in_ball)
 
     shift = np.zeros(n)
     shift[0] = 2.0 + L
@@ -649,14 +648,13 @@ def build_glued_balls(n, h, segment_length):
     edges.append(chain_edges)
     lengths.append(np.full(chain_edges.shape[0], hs))
 
-    params = SpaceParams(resolution=h)
     space = DiscreteSpace(
         np.concatenate(coords, axis=0),
         np.concatenate(masses),
         np.concatenate(edges, axis=0),
         np.concatenate(lengths),
         "path",
-        params,
+        h,
     )
     center_a = find(ball, np.zeros(n))
     mid = 2 * nb + (seg_x.size // 2) if seg_x.size else attach_a
@@ -687,36 +685,35 @@ class MetricReport:
 def verify_metric(space, samples=200, seed=0):
     """Spot-check metric axioms on random node triples.
 
-    Draws a pool of 24 source nodes (so path-metric rows are reused), then
-    random triples (a, b, c) from the pool, and checks identity, symmetry
-    and the triangle inequality up to 1e-9.  The rows of a path metric come
-    from one Dijkstra run over the whole pool.
+    Draws a pool of 24 source nodes, then random triples (a, b, c) from the
+    pool, and checks identity, symmetry and the triangle inequality up to
+    1e-9.  Each pool row comes from ``space.distances_from``; only its
+    entries at the pool nodes and its minimum are kept, so the check holds
+    one row of the space at a time.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     tol = 1e-9
     rng = np.random.default_rng(seed)
     pool = rng.choice(space.n_nodes, size=min(24, space.n_nodes), replace=False)
-    if space.metric == "path":
-        block = dijkstra(space._graph(), directed=False, indices=pool)
-        rows = dict(zip(pool.tolist(), block))
-    else:
-        rows = {int(i): space.distances_from(int(i)) for i in pool}
+    at = {int(i): k for k, i in enumerate(pool)}
+    d = np.empty((pool.size, pool.size))  # d[k, l] = d(pool[k], pool[l])
+    failures = []
+    for k, i in enumerate(pool):
+        row = space.distances_from(int(i))
+        d[k] = row[pool]
+        if abs(d[k, k]) > tol:
+            failures.append(("identity", int(i), float(d[k, k])))
+        if row.min() < -tol:
+            failures.append(("negative", int(i), float(row.min())))
 
     max_sym = 0.0
     max_tri = 0.0
-    failures = []
-    for i in pool:
-        row = rows[int(i)]
-        if abs(row[int(i)]) > tol:
-            failures.append(("identity", int(i), float(row[int(i)])))
-        if np.any(row < -tol):
-            failures.append(("negative", int(i), float(row.min())))
     for _ in range(samples):
         a, b, c = (int(x) for x in rng.choice(pool, size=3))
-        dab, dba = rows[a][b], rows[b][a]
-        max_sym = max(max_sym, abs(dab - dba))
-        gap = rows[a][c] - (rows[a][b] + rows[b][c])
+        ka, kb, kc = at[a], at[b], at[c]
+        max_sym = max(max_sym, abs(d[ka, kb] - d[kb, ka]))
+        gap = d[ka, kc] - (d[ka, kb] + d[kb, kc])
         max_tri = max(max_tri, gap)
         if gap > tol:
             failures.append(("triangle", (a, b, c), float(gap)))
@@ -739,7 +736,7 @@ def save_space(space, path):
     nodes = np.column_stack((np.arange(space.n_nodes), space.coords, space.mass))
     edges = np.column_stack((space.edges, space.edge_lengths))
     with open(path, "w") as f:
-        f.write(f"{space.n_nodes} {space.n_edges} {_FMT % space.params.resolution}\n")
+        f.write(f"{space.n_nodes} {space.n_edges} {_FMT % space.resolution}\n")
         np.savetxt(f, nodes, fmt=["%d"] + [_FMT] * (nodes.shape[1] - 1))
         np.savetxt(f, edges, fmt=["%d", "%d", _FMT])
 
@@ -763,10 +760,6 @@ def load_space(path, metric="path"):
     if len(head) not in (2, 3):
         raise ValueError("malformed header line")
     n, m = int(head[0]), int(head[1])
-    resolution = float(head[2]) if len(head) == 3 else None
-    if resolution is not None and not (np.isfinite(resolution) and resolution > 0):
-        raise ValueError("malformed header line: the resolution must be a "
-                         "positive finite number")
     if len(tokens) < 1 + n + m:
         raise ValueError("file shorter than header declares")
     coords, mass = None, np.zeros(n)
@@ -795,9 +788,8 @@ def load_space(path, metric="path"):
                              "ids and a length")
         edges[e] = (int(parts[0]), int(parts[1]))
         lengths[e] = float(parts[2])
-    space = DiscreteSpace(coords, mass, edges, lengths, metric, SpaceParams())
-    if resolution is not None:
-        space.params = SpaceParams(resolution=resolution)
-    elif m:  # the lengths are checked positive by now
-        space.params = SpaceParams(resolution=float(lengths.min()))
-    return space
+    if len(head) == 3:
+        resolution = float(head[2])
+    else:
+        resolution = float(lengths.min()) if m else 1.0
+    return DiscreteSpace(coords, mass, edges, lengths, metric, resolution)

@@ -174,3 +174,17 @@ def meshgrid_heisenberg_grid(half_extent, h, t_half_extent=None, t_step=None,
                            node_id(i[ok], j[ok], k[ok] + 1)], axis=1))
     lengths.append(np.full(ok.sum(), (16.0 * s * s) ** 0.25))
     return coords, mass, np.concatenate(pairs), np.concatenate(lengths)
+
+
+def meshgrid_double_cone(n, half_extent, h):
+    """(coords, mass, edges, edge_lengths) of the grid on [-E, E]^n kept
+    where x_1^2 + ... + x_{n-1}^2 <= x_n^2, from the meshgrid grid above.
+
+    The kept nodes stay in grid order; an edge is kept when both its ends
+    are, and its ends are renumbered to the kept nodes.
+    """
+    coords, mass, edges, lengths = meshgrid_euclidean_grid(n, half_extent, h)
+    inside = (coords[:, :-1] ** 2).sum(axis=1) <= coords[:, -1] ** 2 + 1e-12 * h * h
+    new_id = np.cumsum(inside) - 1
+    both = inside[edges[:, 0]] & inside[edges[:, 1]]
+    return coords[inside], mass[inside], new_id[edges[both]], lengths[both]

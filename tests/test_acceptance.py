@@ -17,7 +17,6 @@ from conftest import ACCEPTANCE_LINES
 from oracles import radial_ring_capacity
 from ringcap import (
     DiscreteSpace,
-    SpaceParams,
     blowup_trend,
     build_euclidean_grid,
     build_glued_balls,
@@ -318,8 +317,7 @@ def test_c10_property_suites_all_pass(tmp_path):
 
     v1 = relative_capacity(small, c, 0.3, 0.9, 2.7, tol=1e-9).value
     scaled = DiscreteSpace(small.coords, 3.0 * small.mass, small.edges,
-                           small.edge_lengths, "euclidean",
-                           SpaceParams(resolution=0.05))
+                           small.edge_lengths, "euclidean", 0.05)
     v3 = relative_capacity(scaled, c, 0.3, 0.9, 2.7, tol=1e-9).value
     checks["measure scaling"] = abs(v3 - 3.0 * v1) <= 1e-12 * v3
 

@@ -9,7 +9,6 @@ from conftest import origin_node
 from oracles import chain_capacity, radial_ring_capacity
 from ringcap import (
     DiscreteSpace,
-    SpaceParams,
     build_euclidean_grid,
     estimate_ring,
     field_from_values,
@@ -290,8 +289,7 @@ def test_potential_rejects_a_coincident_node():
     # empty; the potential must raise instead of reading the total mass
     coords = np.array([[0.0], [0.1], [0.1], [0.2], [0.3]])
     edges = [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]]
-    sp = DiscreteSpace(coords, np.ones(5), edges, np.full(5, 0.1), "euclidean",
-                       SpaceParams(resolution=0.1))
+    sp = DiscreteSpace(coords, np.ones(5), edges, np.full(5, 0.1), "euclidean", 0.1)
     fld = field_from_values(sp, np.array([1.0, 0.5, 0.5, 0.25, 0.0]))
     with pytest.raises(ValueError):
         riesz_potential(sp, fld, 1, 0, 0.35, 2.0)

@@ -232,6 +232,22 @@ def test_short_space_file_line_is_a_config_error(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "2 1 nan\n0 0.0 1.0\n1 1.0 1.0\n0 1 1.0\n",  # the resolution
+    "2 1\n0 0.0 1.0\n1 nan 1.0\n0 1 1.0\n",  # a coordinate
+    "2 1\n0 0.0 1.0\n1 1.0 1.0\n0 1 nan\n",  # an edge length
+    "2 1\n0 0.0 1.0\n1 1.0 nan\n0 1 1.0\n",  # a mass
+], ids=["resolution", "coordinate", "edge_length", "mass"])
+def test_a_nan_field_in_a_space_file_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "two.txt"
+    path.write_text(text)
+    assert_rejected(tmp_path, "bounds", {
+        "space": {"kind": "file", "path": str(path)},
+        "task": {"center": [0.0], "r_list": [0.5], "R": 1.0, "p_list": [2.0],
+                 "q_center": 2.0}})
+    assert "config error: space:" in capsys.readouterr().err
+
+
 def test_fit_rejects_a_short_csv_row(tmp_path):
     data = tmp_path / "data.csv"
     data.write_text("r,value\n1,1\n2,4\n3\n4,16\n5,25\n")
@@ -416,7 +432,7 @@ def test_green_exits_3_when_a_refinement_solve_does_not_converge(tmp_path,
 
     def refinement_solves_fail(space, *args, **kwargs):
         res = solve(space, *args, **kwargs)
-        res.converged = space.params.resolution == 0.04  # the task's own line
+        res.converged = space.resolution == 0.04  # the task's own line
         return res
 
     monkeypatch.setattr(green, "solve_condenser", refinement_solves_fail)

@@ -6,7 +6,6 @@ import pytest
 from conftest import origin_node
 from ringcap import (
     DiscreteSpace,
-    SpaceParams,
     ahlfors_regularity,
     analyze_dimension,
     build_euclidean_grid,
@@ -76,8 +75,7 @@ def test_mass_scaling_leaves_dimension_fixed(grid2):
     c = origin_node(grid2)
     radii = np.geomspace(0.25, 2.5, 5)
     scaled = DiscreteSpace(grid2.coords, 7.25 * grid2.mass, grid2.edges,
-                           grid2.edge_lengths, "euclidean",
-                           SpaceParams(resolution=0.05))
+                           grid2.edge_lengths, "euclidean", 0.05)
     # radii beyond the box are fine for mass counting: balls saturate the grid
     f1 = pointwise_dimension(grid2, c, radii)
     f2 = pointwise_dimension(scaled, c, radii)
@@ -126,8 +124,7 @@ def test_volume_bounds_flag_gap_in_growth(grid2_fine):
     d = grid2_fine.distances_from(c)
     mass[(d > 0.55) & (d < 0.75)] = 0.0
     holed = DiscreteSpace(grid2_fine.coords, mass, grid2_fine.edges,
-                          grid2_fine.edge_lengths, "euclidean",
-                          SpaceParams(resolution=0.01))
+                          grid2_fine.edge_lengths, "euclidean", 0.01)
     broken = check_volume_bounds(holed, c, 0.9, 2.0, 2.0)
     assert not broken.passed
     assert max(broken.worst_lower, broken.worst_upper) > 1.2

@@ -12,7 +12,6 @@ from oracles import chain_capacity, radial_ring_capacity
 from ringcap import (
     Condenser,
     DiscreteSpace,
-    SpaceParams,
     build_euclidean_grid,
     field_from_values,
     log_profile,
@@ -89,8 +88,7 @@ def test_capacity_scales_exactly_with_the_measure(patch2):
     c = origin_node(patch2)
     v1 = relative_capacity(patch2, c, 0.15, 0.5, 2.7, tol=1e-9).value
     scaled = DiscreteSpace(patch2.coords, 3.0 * patch2.mass, patch2.edges,
-                           patch2.edge_lengths, "euclidean",
-                           SpaceParams(resolution=0.05))
+                           patch2.edge_lengths, "euclidean", 0.05)
     v3 = relative_capacity(scaled, c, 0.15, 0.5, 2.7, tol=1e-9).value
     assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
 
@@ -169,8 +167,7 @@ def test_disconnected_component_is_reported_unreachable():
     xs = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(5.0, 5.4, 5)])
     edges = [[k, k + 1] for k in range(10)] + [[k, k + 1] for k in range(11, 15)]
     lengths = np.abs(xs[np.array(edges)[:, 0]] - xs[np.array(edges)[:, 1]])
-    sp = DiscreteSpace(xs[:, None], np.full(16, 0.1), edges, lengths, "path",
-                       SpaceParams(resolution=0.1))
+    sp = DiscreteSpace(xs[:, None], np.full(16, 0.1), edges, lengths, "path", 0.1)
     res = solve_condenser(sp, Condenser(np.array([0]), np.arange(16)), 2.0)
     assert res.value == 0.0
     assert res.diagnostics["unreachable_nodes"] == 5
@@ -183,7 +180,7 @@ def unit_chain(masses, extra_edges=()):
     n = len(masses)
     edges = [[k, k + 1] for k in range(n - 1)] + [list(e) for e in extra_edges]
     return DiscreteSpace(np.arange(n, dtype=float)[:, None], masses, edges,
-                         np.ones(len(edges)), "euclidean", SpaceParams())
+                         np.ones(len(edges)), "euclidean", 1.0)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -225,7 +222,7 @@ def test_components_are_labelled_once_per_space(patch2, monkeypatch):
 
     monkeypatch.setattr(spaces, "connected_components", counted)
     sp = DiscreteSpace(patch2.coords, patch2.mass, patch2.edges,
-                       patch2.edge_lengths, "euclidean", SpaceParams(0.05))
+                       patch2.edge_lengths, "euclidean", 0.05)
     c = origin_node(sp)
     first = relative_capacity(sp, c, 0.15, 0.5, 2.0)
     second = relative_capacity(sp, c, 0.2, 0.45, 3.0)
@@ -441,7 +438,7 @@ def test_other_systems_keep_jacobi(request, case):
         space, r, big_r = request.getfixturevalue("heis_graph"), 0.1, 0.35
     elif case == "path":
         space = DiscreteSpace(plane.coords, plane.mass, plane.edges,
-                              plane.edge_lengths, "path", SpaceParams())
+                              plane.edge_lengths, "path", 1.0)
     elif case == "4d":
         space, r, big_r = build_euclidean_grid(4, 0.55, 0.1), 0.2, 0.5
     else:

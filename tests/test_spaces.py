@@ -11,6 +11,7 @@ from conftest import origin_node
 from oracles import (
     ball_volume,
     koranyi_ball_volume,
+    meshgrid_double_cone,
     meshgrid_euclidean_grid,
     meshgrid_heisenberg_grid,
     weighted_ball_mass,
@@ -18,7 +19,6 @@ from oracles import (
 from ringcap import spaces
 from ringcap import (
     DiscreteSpace,
-    SpaceParams,
     build_double_cone,
     build_euclidean_grid,
     build_glued_balls,
@@ -104,7 +104,7 @@ def test_glued_balls_center_distance_and_wire_mass(glued2):
     mid = glued2.extras["mid_segment"]
     # path through ball A (radius 1) + wire (length 1) + ball B
     assert glued2.distance(ca, cb) == pytest.approx(3.0, abs=1e-9)
-    h = glued2.params.resolution
+    h = glued2.resolution
     for r in (0.2, 0.4):
         assert abs(glued2.ball_mass(mid, r) - 2 * r) <= 2.5 * h
 
@@ -135,10 +135,15 @@ def _gauge_one_shot(a, b):
     return (z2 * z2 + 16.0 * dt * dt) ** 0.25
 
 
+def _euclidean_one_shot(a, b):
+    """Euclidean distances of a and b, the formula applied to all rows at once."""
+    diff = b - a
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def _row_reference(space, c):
-    n = space.n_nodes
     if space.metric == "euclidean":
-        return space._pair_distance(np.full(n, c), np.arange(n))
+        return _euclidean_one_shot(space.coords[c], space.coords)
     if space.metric == "koranyi":
         return _gauge_one_shot(space.coords[c], space.coords)
     return dijkstra(space._graph(), directed=False, indices=c)
@@ -245,6 +250,14 @@ def test_heisenberg_grid_matches_the_meshgrid_construction(kwargs):
     _assert_same_arrays(_arrays(space), meshgrid_heisenberg_grid(**kwargs))
 
 
+@pytest.mark.parametrize("n,half_extent,h", [
+    (2, 1.05, 0.01), (3, 0.6, 0.02), (4, 0.5, 0.05),
+])
+def test_double_cone_matches_the_masked_meshgrid_construction(n, half_extent, h):
+    space = build_double_cone(n, half_extent, h)
+    _assert_same_arrays(_arrays(space), meshgrid_double_cone(n, half_extent, h))
+
+
 def test_gauge_distance_in_blocks_matches_the_one_shot_formula():
     rng = np.random.default_rng(11)
     rows = 2 * spaces._EVAL_BLOCK + 3
@@ -292,7 +305,7 @@ def test_a_wrong_edge_length_in_the_last_block_raises(build):
     lengths[-1] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="edge lengths disagree with the metric"):
         DiscreteSpace(space.coords, space.mass, space.edges, lengths,
-                      space.metric, space.params)
+                      space.metric, space.resolution)
 
 
 def _traced_peak(fn):
@@ -355,31 +368,48 @@ def test_metric_axioms_hold_on_builders(request, name):
     assert report.failures == []
 
 
-def test_metric_checker_flags_asymmetry(line_fine):
-    space = build_euclidean_grid(1, 1.0, 0.1)
+def _line_spaces():
+    """The 21-node line of step 0.1, with its closed form and as a path space."""
+    line = build_euclidean_grid(1, 1.0, 0.1)
+    return [line, DiscreteSpace(line.coords, line.mass, line.edges,
+                                line.edge_lengths, "path", line.resolution)]
+
+
+def test_metric_checker_flags_asymmetry():
     true_rows = DiscreteSpace.distances_from
-    space.distances_from = lambda c: true_rows(space, c) + 0.01 * c
-    report = verify_metric(space, samples=100, seed=0)
-    assert not report.passed
-    assert report.max_symmetry_error > 1e-3
+    for space in _line_spaces():
+        space.distances_from = lambda c, s=space: true_rows(s, c) + 0.01 * c
+        report = verify_metric(space, samples=100, seed=0)
+        assert not report.passed, space.metric
+        assert report.max_symmetry_error > 1e-3
 
 
 def test_metric_checker_flags_triangle_violation():
-    space = build_euclidean_grid(1, 1.0, 0.1)
     true_rows = DiscreteSpace.distances_from
-    space.distances_from = lambda c: true_rows(space, c) ** 2
-    report = verify_metric(space, samples=200, seed=0)
-    assert not report.passed
-    assert report.max_triangle_violation > 1e-3
+    for space in _line_spaces():
+        space.distances_from = lambda c, s=space: true_rows(s, c) ** 2
+        report = verify_metric(space, samples=200, seed=0)
+        assert not report.passed, space.metric
+        assert report.max_triangle_violation > 1e-3
 
 
 def test_metric_checker_flags_identity_failure():
-    space = build_euclidean_grid(1, 1.0, 0.1)
     true_rows = DiscreteSpace.distances_from
-    space.distances_from = lambda c: true_rows(space, c) + 0.05
-    report = verify_metric(space, samples=50, seed=0)
-    assert not report.passed
-    assert any(kind == "identity" for kind, *_ in report.failures)
+    for space in _line_spaces():
+        space.distances_from = lambda c, s=space: true_rows(s, c) + 0.05
+        report = verify_metric(space, samples=50, seed=0)
+        assert not report.passed, space.metric
+        assert any(kind == "identity" for kind, *_ in report.failures)
+
+
+def test_metric_check_holds_about_one_row_at_a_time():
+    # keeping the 24 pool rows at full length peaked at 24 rows
+    space = build_heisenberg_grid(0.66, 0.03, t_half_extent=0.3,
+                                  t_step=0.0012, with_edges=False)
+    assert space.n_nodes > 1_000_000
+    report, peak = _traced_peak(lambda: verify_metric(space, samples=50, seed=1))
+    assert report.passed
+    assert peak <= 3 * 8 * space.n_nodes
 
 
 # ----------------------------------------------------------------------
@@ -397,17 +427,17 @@ def test_save_load_roundtrip_is_exact(tmp_path, grid2):
     assert np.array_equal(back.mass, grid2.mass)
     assert np.array_equal(back.edges, grid2.edges)
     assert np.array_equal(back.edge_lengths, grid2.edge_lengths)
-    assert back.params.resolution == 0.05
+    assert back.resolution == 0.05
 
 
 def test_save_load_keeps_the_glued_balls_resolution(tmp_path):
     # the segment spacing 1.03 / 21 is below the glued balls' step 0.05
     glued = build_glued_balls(2, 0.05, 1.03)
-    assert glued.edge_lengths.min() < glued.params.resolution == 0.05
+    assert glued.edge_lengths.min() < glued.resolution == 0.05
     path = tmp_path / "glued.txt"
     save_space(glued, path)
     assert path.read_text().splitlines()[0].split()[2] == "0.050000000000000003"
-    assert load_space(path).params.resolution == 0.05
+    assert load_space(path).resolution == 0.05
 
 
 def test_load_of_a_two_field_header_takes_the_shortest_edge(tmp_path):
@@ -417,7 +447,7 @@ def test_load_of_a_two_field_header_takes_the_shortest_edge(tmp_path):
     lines = path.read_text().splitlines()
     lines[0] = f"{glued.n_nodes} {glued.n_edges}"
     path.write_text("\n".join(lines) + "\n")
-    assert load_space(path).params.resolution == glued.edge_lengths.min()
+    assert load_space(path).resolution == glued.edge_lengths.min()
 
 
 @pytest.mark.parametrize("token", ["0", "-0.05", "nan", "inf"])
@@ -496,14 +526,40 @@ def test_builder_rejects_bad_arguments():
 def test_space_validation_errors():
     coords = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        DiscreteSpace(coords, [1.0], [[0, 1]], [1.0], "euclidean", SpaceParams())
+        DiscreteSpace(coords, [1.0], [[0, 1]], [1.0], "euclidean", 1.0)
     with pytest.raises(ValueError):
-        DiscreteSpace(coords, [1.0, -1.0], [[0, 1]], [1.0], "euclidean", SpaceParams())
+        DiscreteSpace(coords, [1.0, -1.0], [[0, 1]], [1.0], "euclidean", 1.0)
     with pytest.raises(ValueError):
-        DiscreteSpace(coords, [1.0, 1.0], [[0, 0]], [1.0], "euclidean", SpaceParams())
+        DiscreteSpace(coords, [1.0, 1.0], [[0, 0]], [1.0], "euclidean", 1.0)
     with pytest.raises(ValueError):
-        DiscreteSpace(coords, [1.0, 1.0], [[0, 1]], [-1.0], "euclidean", SpaceParams())
+        DiscreteSpace(coords, [1.0, 1.0], [[0, 1]], [-1.0], "euclidean", 1.0)
     with pytest.raises(ValueError):
-        DiscreteSpace(coords, [1.0, 1.0], [[0, 1]], [2.0], "euclidean", SpaceParams())
+        DiscreteSpace(coords, [1.0, 1.0], [[0, 1]], [2.0], "euclidean", 1.0)
     with pytest.raises(ValueError):
-        DiscreteSpace(coords, [1.0, 1.0], [[0, 1]], [1.0], "taxicab", SpaceParams())
+        DiscreteSpace(coords, [1.0, 1.0], [[0, 1]], [1.0], "taxicab", 1.0)
+
+
+@pytest.mark.parametrize("coords,length,metric,resolution,match", [
+    ([0.0, 1.0], np.nan, "euclidean", 1.0, "edge lengths"),
+    ([0.0, 1.0], np.inf, "path", 1.0, "edge lengths"),
+    ([0.0, np.nan], 1.0, "path", 1.0, "coordinates"),
+    ([0.0, np.nan], 1.0, "euclidean", 1.0, "coordinates"),
+    ([0.0, 1.0], 1.0, "euclidean", np.nan, "resolution"),
+    ([0.0, 1.0], 1.0, "path", np.inf, "resolution"),
+    ([0.0, 1.0], 1.0, "path", 0.0, "resolution"),
+    # the metric length overflows to inf, so its relative error is NaN
+    ([0.0, 1e300], 1e300, "euclidean", 1.0, "disagree"),
+], ids=["nan_length", "inf_length", "nan_coord_path", "nan_coord",
+        "nan_resolution", "inf_resolution", "zero_resolution", "inf_distance"])
+def test_space_rejects_non_finite_inputs(coords, length, metric, resolution, match):
+    with pytest.raises(ValueError, match=match), np.errstate(all="ignore"):
+        DiscreteSpace(np.array(coords)[:, None], [1.0, 1.0], [[0, 1]], [length],
+                      metric, resolution)
+
+
+def test_a_repeated_edge_counts_once_at_its_shortest_length():
+    # adding the copies, as COO to CSR does, would give [0, 2, 4.5]
+    sp = DiscreteSpace([[0.0], [1.0], [2.0]], np.ones(3),
+                       [[0, 1], [0, 1], [1, 2], [1, 2]], [1.0, 1.0, 1.5, 1.0],
+                       "path", 1.0)
+    assert np.array_equal(sp.distances_from(0), [0.0, 1.0, 2.0])
