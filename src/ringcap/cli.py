@@ -37,6 +37,7 @@ from .spaces import (
 )
 
 _FMT = "%.17g"
+CSV_BLOCK = 1 << 12  # rows that _write_csv formats and writes at a time
 
 
 class ConfigError(Exception):
@@ -65,13 +66,21 @@ def _format_column(column):
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` under ``header``, one CSV row per entry.
 
-    Float and integer arrays are formatted in one pass each; other columns
-    (lists, tuples, bool or object arrays) go entry by entry through
-    ``_fmt``.  The bytes are those of formatting every entry with ``_fmt``.
+    ``columns`` is a sequence of sliceable columns (arrays, lists, tuples;
+    ``zip(*rows)`` also works).  Rows are formatted and written in blocks
+    of ``CSV_BLOCK``, each column sliced to the block first, so no
+    full-length list of numbers or strings is ever held.  Float and integer
+    arrays are formatted one slice at a time; other columns (lists, tuples,
+    bool or object arrays) go entry by entry through ``_fmt``.  The bytes
+    are those of formatting every entry with ``_fmt``.
     """
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*map(_format_column, columns)))
-    path.write_text("\n".join(lines) + "\n")
+    columns = list(columns)
+    n_rows = min(map(len, columns), default=0)
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK):
+            block = [_format_column(col[start:start + CSV_BLOCK]) for col in columns]
+            f.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _write_json(path: Path, obj):

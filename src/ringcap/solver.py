@@ -31,6 +31,12 @@ the free nodes, with +1 at a free i end and -1 at a free j end.  The slopes
 of the unknown vector x are B x, the gradient is B^T of the edge flows, and
 the weighted Laplacian is B^T W B, whose right-hand side is the pull
 -B^T W du_fixed of the fixed ends.  Repeated edges add up in the products.
+B is built at its final size from the free ends of the system edges and
+stored in one orientation only, as B^T in CSR; B is its transpose, a CSC
+view of the same arrays.  The sparse product B^T W B reads B by rows, so
+scipy converts the view for the length of each product and frees it after.
+The whole-space masks that pick the free nodes are dropped once the free
+nodes and the diagnostics counts exist.
 
 The preconditioner is chosen from the system, not set by the caller.  A
 system on a Euclidean space of at most three coordinates with more than
@@ -38,7 +44,8 @@ system on a Euclidean space of at most three coordinates with more than
 Mandel and Brezina 1996): the free nodes are grouped into coordinate boxes
 three shortest edges a side, the piecewise-constant prolongation of the
 boxes is smoothed by one damped-Jacobi step, and Galerkin products
-P^T A P are coarsened again with boxes three times wider, down to a direct
+P^T A P, formed restriction first as (P^T A) P so that no fine-size A P is
+held, are coarsened again with boxes three times wider, down to a direct
 solve of at most ``COARSEST`` unknowns.  One damped-Jacobi step before and
 one after each coarse correction keep it symmetric.  CG iterations then no
 longer grow like 1 / h, at any p: each IRLS iteration builds the hierarchy
@@ -179,7 +186,7 @@ def _hierarchy(lap, cells):
     space's shortest edge.  Each level groups the unknowns into boxes of
     three cells a side (so the box side triples from level to level), smooths
     the piecewise-constant prolongation of the boxes by one damped-Jacobi
-    step, and passes the Galerkin product P^T A P down, until at most
+    step, and passes the Galerkin product (P^T A) P down, until at most
     ``COARSEST`` unknowns remain.  Returns the (A, 1 / diag A, P) of each
     level and the LU factors of the coarsest matrix.
     """
@@ -202,7 +209,7 @@ def _hierarchy(lap, cells):
         prolong = (tentative - smooth).tocsr()
         del tentative, smooth
         levels.append((a, inv_d, prolong))
-        a = (prolong.T @ (a @ prolong)).tocsr()
+        a = (prolong.T.tocsr() @ a) @ prolong
     return levels, splu(a.tocsc())
 
 
@@ -299,30 +306,30 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         if not np.isfinite(x0).all():
             raise ValueError("initial guess must be finite")
 
-    edges = space.edges
-    lengths = space.edge_lengths
-    conductance = space.edge_masses() / lengths**p
-    live = conductance > 0
-
-    u = np.zeros(n)
-    u[is_inner] = 1.0
-
     # Reachability: a free component must see both a 1-node and a 0-node
     # through positive conductances to pose a well-defined Dirichlet
     # problem.  One-sided components are constant plateaus (zero energy);
     # fully unconstrained ones are zeroed and reported.  The components
     # depend on the space alone, which labels them once.
     labels = space.component_labels()
-    has_one = np.bincount(labels, is_inner)[labels] > 0
-    has_zero = np.bincount(labels, ~in_domain)[labels] > 0
-    plateau = free_mask & has_one & ~has_zero
-    unreachable = free_mask & ~has_one
-    u[plateau] = 1.0
-    solve_mask = free_mask & has_one & has_zero
+    size = np.bincount(labels)
+    has_one = np.bincount(labels[is_inner], minlength=size.size) > 0
+    has_zero = np.bincount(labels[in_domain], minlength=size.size) < size
+    free = np.flatnonzero(free_mask)
+    del in_domain, is_inner, free_mask, size
+    free_labels = labels[free]
+    reached = has_one[free_labels]
+    solved = reached & has_zero[free_labels]
+    plateau = free[reached & ~solved]
+    free_ids = free[solved].astype(np.int32)
+    nf = free_ids.size
 
+    u = np.zeros(n)
+    u[inner] = 1.0
+    u[plateau] = 1.0
     diagnostics = {
-        "plateau_nodes": int(plateau.sum()),
-        "unreachable_nodes": int(unreachable.sum()),
+        "plateau_nodes": plateau.size,
+        "unreachable_nodes": int(free.size - np.count_nonzero(reached)),
         "energy_trace": [],
         "backtracks": 0,  # none since the exact line search; kept for readers
         "steps": [],
@@ -330,32 +337,38 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         "stop_reason": "converged",
         "preconditioner": "jacobi",
     }
+    del free, free_labels, reached, solved, plateau
 
     # Free index: place in x, or -1 for a fixed node.  The live edges with a
     # free end make up the system; the other live edges carry the constant
     # energy e_const.  On a system edge, u_i - u_j is the slope B x plus
     # du_fixed, the slope of u at x = 0 (u is 0 on the free nodes).
-    free_ids = np.nonzero(solve_mask)[0]
-    nf = free_ids.size
+    edges = space.edges
+    lengths = space.edge_lengths
+    conductance = space.edge_masses() / lengths**p
+    live = conductance > 0
     free_index = np.full(n, -1, dtype=np.int32)
     free_index[free_ids] = np.arange(nf, dtype=np.int32)
     ends = free_index[edges]
-    touching = (ends[:, 0] >= 0) | (ends[:, 1] >= 0)
+    del free_index
+    free_end = ends >= 0
+    touching = free_end[:, 0] | free_end[:, 1]
     rest = np.nonzero(live & ~touching)[0]
     du_rest = u[edges[rest, 0]] - u[edges[rest, 1]]
     e_const = float((conductance[rest] * np.abs(du_rest) ** p).sum())
     kept = np.nonzero(live & touching)[0]
+    del live, touching, rest, du_rest
     c = conductance[kept]
     du_fixed = u[edges[kept, 0]] - u[edges[kept, 1]]
-    # B row by row: +1 and -1 at the ends of each system edge, the fixed
-    # ends' entries set to 0 and then dropped.
-    ends = ends[kept]
-    b = csr_matrix((np.where(ends >= 0, [1.0, -1.0], 0.0).ravel(),
-                    np.maximum(ends, 0).ravel(), np.arange(0, ends.size + 1, 2)),
-                   shape=(kept.size, nf))
-    b.eliminate_zeros()
-    bt = b.T.tocsr()
-    del conductance, live, touching, rest, du_rest, kept, ends
+    # B row by row at its final size: +1 at a free i end, -1 at a free j end
+    ends, free_end = ends[kept], free_end[kept]
+    del conductance, kept
+    indptr = np.zeros(c.size + 1, dtype=np.int32)
+    np.cumsum(free_end.sum(axis=1), out=indptr[1:])
+    signs = np.broadcast_to(np.array([1.0, -1.0]), free_end.shape)[free_end]
+    bt = csr_matrix((signs, ends[free_end], indptr), shape=(c.size, nf)).T.tocsr()
+    b = bt.T
+    del ends, free_end, indptr, signs
 
     def edge_state(du):
         """Energy, free-node gradient and IRLS weight shape at edge slopes du."""
@@ -386,7 +399,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
                   and nf > COARSEST)
     if multilevel:
         coords = space.coords[free_ids]
-        cells = np.rint((coords - coords.min(axis=0)) / lengths.min()).astype(np.int64)
+        cells = np.rint((coords - coords.min(axis=0)) / lengths.min()).astype(np.int32)
         diagnostics["preconditioner"] = "multilevel"
         del coords
 

@@ -162,10 +162,25 @@ class DiscreteSpace:
         """Component label of each node in the graph of the edges with
         positive edge mass; an edge between zero-mass nodes joins nothing."""
         if self._labels is None:
-            i, j = self.edges[self.edge_masses() > 0].T
+            # int32 endpoints of the live edges, filled block by block, so no
+            # int64 copy of the live edges is made
+            live = self.edge_masses() > 0
+            i = np.empty(np.count_nonzero(live), dtype=np.int32)
+            j = np.empty_like(i)
+            filled = 0
+            for start in range(0, live.size, _EVAL_BLOCK):
+                pairs = self.edges[start:start + _EVAL_BLOCK][live[start:start + _EVAL_BLOCK]]
+                stop = filled + pairs.shape[0]
+                i[filled:stop], j[filled:stop] = pairs.T
+                filled = stop
+            del live
             graph = coo_matrix((np.ones(i.size, dtype=np.int8), (i, j)),
-                               shape=(self.n_nodes, self.n_nodes))
+                               shape=(self.n_nodes, self.n_nodes)).tocsr()
             del i, j
+            # connected_components works on a float64 CSR and its transpose;
+            # converting here, once the endpoints are gone, keeps a third
+            # copy of the graph from coexisting with those two
+            graph = graph.astype(np.float64)
             self._labels = connected_components(graph, directed=False)[1]
         return self._labels
 

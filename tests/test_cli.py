@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,40 @@ def test_column_writer_matches_the_row_writer(tmp_path):
     assert (tmp_path / "cols.csv").read_bytes() == expected.encode()
     cli._write_csv(tmp_path / "empty.csv", ["a", "b"], zip(*[]))
     assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+def test_block_writer_matches_the_row_writer_across_blocks(tmp_path):
+    n = 3 * cli.CSV_BLOCK + 1
+    ids = np.arange(n, dtype=np.int64) - 7
+    values = np.random.default_rng(3).standard_normal(n)
+    edge = [0, 1, 2, 3, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, n - 1]
+    values[edge] = [-0.0, np.nan, np.inf, 1e-300, -np.inf, 5e-324, 0.1]
+    # rows of mixed entries, passed as zip(*rows) like green_levels.csv
+    rows = [(int(k), float(v), "" if k % 5 else "x") for k, v in zip(ids, values)]
+    for name, header, columns, expected_rows in (
+            ("arrays", ["id", "u"], [ids, values], zip(ids, values)),
+            ("rows", ["a", "b", "c"], zip(*rows), rows)):
+        path = tmp_path / f"{name}.csv"
+        cli._write_csv(path, header, columns)
+        lines = [",".join(header)]
+        lines += [",".join(cli._fmt(v) for v in row) for row in expected_rows]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_writer_holds_far_less_than_the_file(tmp_path):
+    # a field CSV of 200,000 rows is written block by block: the writer
+    # never holds a full-length list of numbers or strings
+    n = 200_000
+    path = tmp_path / "field.csv"
+    ids, values = np.arange(n), np.random.default_rng(4).random(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write_csv(path, ["id", "u"], [ids, values])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_seed_flag_changes_the_sample(tmp_path):
@@ -539,10 +576,13 @@ def test_console_script_is_wired(tmp_path):
     data.write_text("x,y\n1,1\n2,8\n4,64\n8,512\n")
     cfg = write_cfg(tmp_path, {"task": {"csv": str(data), "x_column": "x",
                                         "y_column": "y"}})
+    # the child imports the same ringcap as this test, whatever the caller's
+    # PYTHONPATH
+    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "ringcap", "fit", "--config", cfg,
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     fit = json.loads((tmp_path / "out" / "fit.json").read_text())
     assert fit["slope"] == pytest.approx(3.0, abs=1e-9)

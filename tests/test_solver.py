@@ -1,6 +1,7 @@
 """Condenser solves: exact oracles, invariants, and degenerate domains."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,59 @@ def test_volume_ring_uses_the_multilevel_preconditioner():
     res = relative_capacity(sp, origin_node(sp), 1.0, 2.0, 2.0, tol=1e-6)
     assert res.converged and res.diagnostics["preconditioner"] == "multilevel"
     assert res.value == pytest.approx(radial_ring_capacity(3, 1.0, 2.0, 2.0), rel=0.05)
+
+
+def test_coarse_matrices_are_the_galerkin_products(grid2_fine, monkeypatch):
+    built = []
+
+    def keep(lap, cells):
+        levels, coarsest = hierarchy(lap, cells)
+        built.append((levels, coarsest))
+        return levels, coarsest
+
+    hierarchy = solver._hierarchy
+    monkeypatch.setattr(solver, "_hierarchy", keep)
+    res = relative_capacity(grid2_fine, origin_node(grid2_fine), 0.25, 1.0, 2.0)
+    assert res.converged and len(built) == 1
+    levels, coarsest = built[0]
+    assert len(levels) >= 2
+    for k, (a, _, prolong) in enumerate(levels):
+        # the explicit product P^T (A P), against the level below
+        galerkin = prolong.T @ (a @ prolong)
+        scale = abs(galerkin).max()
+        if k + 1 < len(levels):
+            assert abs(levels[k + 1][0] - galerkin).max() <= 1e-12 * scale
+        else:
+            # the coarsest matrix is held as LU factors: they must invert it
+            x = np.random.default_rng(0).standard_normal(galerkin.shape[0])
+            back = coarsest.solve(galerkin @ x)
+            assert np.abs(back - x).max() <= 1e-9 * np.abs(x).max()
+
+
+def test_pole_solve_memory_is_bounded_by_its_system():
+    # green's pole solve: p = 2, plate r = 3h, R = 1 on the h = 0.005 plane.
+    # Its set-up keeps one orientation of B and forms the coarse operators
+    # restriction first, so the traced peak of the solve stays within a
+    # small multiple of the CSR bytes of its system matrix.
+    h = 0.005
+    sp = build_euclidean_grid(2, 1.05, h)
+    cond = ring_condenser(sp, origin_node(sp), 3.0 * h, 1.0)
+    sp.component_labels()  # labelled once per space, not per solve
+    free = np.zeros(sp.n_nodes, dtype=bool)
+    free[cond.domain] = True
+    free[cond.inner] = False
+    nf = int(free.sum())
+    nnz = nf + 2 * int((free[sp.edges[:, 0]] & free[sp.edges[:, 1]]).sum())
+    csr_bytes = nnz * (8 + 4) + (nf + 1) * 4  # float64 values, int32 indices
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve_condenser(sp, cond, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.converged and res.diagnostics["preconditioner"] == "multilevel"
+    assert peak <= 6.5 * csr_bytes
 
 
 @pytest.mark.parametrize("case", ["gauge", "path", "4d", "small"])
