@@ -112,13 +112,17 @@ def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
     discrete plate, so its ratio is forced to 1; other pairs must stay in
     a band of width ``band_limit`` around it.
 
-    Each level condenser is solved from clip((G - a) / (b - a), 0, 1),
-    which is already close to its minimizer: for the pair (0, max G) it is
-    the pole potential up to rounding, so at p = 2 that solve normally ends
-    without a CG iteration.  Convergence is judged against the cold-start
-    gradient, as in every solve, so the guess does not move the target.
+    A level condenser with the pole's own plate and domain, as the pair
+    (0, max G) has unless plateau nodes widen its plate, is the pole
+    condenser: if the pole's solve, ``sf.result``, converged within ``tol``,
+    the pair takes it and is not solved again.  Every other level condenser
+    is solved from clip((G - a) / (b - a), 0, 1), which is already close to
+    its minimizer.  Convergence is judged against the cold-start gradient,
+    as in every solve, so the guess does not move the target.
     """
     g = sf.values
+    pole = sf.result
+    reuse = pole.converged and pole.residual < tol
     entries, notices, ratios, results = [], [], [], []
     for a, b in pairs:
         a, b = float(a), float(b)
@@ -136,8 +140,12 @@ def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
             entries.append((a, b, None, None))
             results.append(None)
             continue
-        res = solve_condenser(space, Condenser(upper, lower), sf.p, tol=tol,
-                              x0=np.clip((g - a) / (b - a), 0.0, 1.0))
+        if (reuse and np.array_equal(lower, sf.domain)
+                and np.array_equal(upper, space.closed_ball(sf.center, sf.rho))):
+            res = pole
+        else:
+            res = solve_condenser(space, Condenser(upper, lower), sf.p, tol=tol,
+                                  x0=np.clip((g - a) / (b - a), 0.0, 1.0))
         ratio = res.value * (b - a) ** (sf.p - 1.0)
         entries.append((a, b, res.value, ratio))
         results.append(res)

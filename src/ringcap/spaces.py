@@ -203,7 +203,7 @@ class DiscreteSpace:
             return self._row[1]
         self._row = None  # free the old row before the new one is built
         if self.metric == "path":
-            row = dijkstra(self._graph(), directed=False, indices=center)
+            row = dijkstra(self._graph(), directed=True, indices=center)
         else:
             row = self._formula(self.coords[center], self.coords)
         row.flags.writeable = False
@@ -216,19 +216,24 @@ class DiscreteSpace:
         return float(self._formula(self.coords[i], self.coords[j]))
 
     def _graph(self):
-        """The edge graph as a CSR matrix of lengths; a repeated edge (i, j)
-        keeps its shortest copy, where COO to CSR would add the copies."""
+        """The edge graph as a symmetric CSR matrix of lengths: each edge in
+        both orientations, and a repeated edge, in either orientation, at its
+        shortest copy (COO to CSR would add the copies).  Being symmetric,
+        it is searched as a directed graph, which spares Dijkstra the
+        transpose that an undirected search of one orientation walks."""
         if self._adjacency is None:
             n = self.n_nodes
-            key = self.edges[:, 0] * n + self.edges[:, 1]
-            order = np.lexsort((self.edge_lengths, key))  # by (i, j), then length
+            lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
+            hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
+            key = lo * n + hi
+            order = np.lexsort((self.edge_lengths, key))  # by pair, then length
             first = np.ones(order.size, dtype=bool)
             first[1:] = key[order[1:]] != key[order[:-1]]
-            keep = order[first]
+            keep = order[first]  # sorted by pair: rows lo, then columns hi
             indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.edges[keep, 0], minlength=n), out=indptr[1:])
-            self._adjacency = csr_matrix(
-                (self.edge_lengths[keep], self.edges[keep, 1], indptr), shape=(n, n))
+            np.cumsum(np.bincount(lo[keep], minlength=n), out=indptr[1:])
+            upper = csr_matrix((self.edge_lengths[keep], hi[keep], indptr), shape=(n, n))
+            self._adjacency = upper + upper.T  # no entry in both: a copy each
         return self._adjacency
 
     def ball(self, center: int, r: float) -> np.ndarray:

@@ -425,8 +425,8 @@ def test_green_levels_and_refinement_trend(tmp_path):
     assert man["pole_solve"]["stop_reason"] == "converged"
     assert man["pole_solve"]["preconditioner"] == "jacobi"
     assert len(man["level_solves"]) == 5
-    # the (0, max G) level starts from the pole potential, its own minimizer
-    assert man["level_solves"][0]["cg_iters"] == 0
+    # the (0, max G) level condenser is the pole's, and takes its solve
+    assert man["level_solves"][0] == man["pole_solve"]
     assert man["level_solves"][0]["stop_reason"] == "converged"
     trend = json.loads((out / "green_trend.json").read_text())
     assert trend["regime"] == "above"

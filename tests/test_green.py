@@ -6,6 +6,7 @@ import pytest
 from conftest import origin_node
 from oracles import chain_capacity
 from ringcap import (
+    DiscreteSpace,
     blowup_trend,
     build_euclidean_grid,
     build_green,
@@ -58,10 +59,31 @@ def test_defining_pair_ratio_is_one(plane_green):
     (a, b, cap, ratio), = rep.entries
     assert ratio == pytest.approx(1.0, abs=1e-9)
     assert cap == pytest.approx(sf.cap_inner, rel=1e-9)
-    # started from the pole potential itself, the solve needs no CG step
+    # the pair's condenser is the pole's own, so it takes the pole's solve
     res, = rep.results
-    assert res.diagnostics["cg_iters"] == 0
-    assert res.converged and res.iterations == 1
+    assert res is sf.result
+
+
+def test_defining_pair_solves_when_its_condenser_or_tolerance_differs(plane_green):
+    # a chain 0..1 and, apart from it, the pair {11, 12}, which the pole's
+    # plate reaches at node 11 and the domain holds whole: node 12 is a
+    # plateau at the pole value, so the pair's plate is wider than the pole's
+    xs = np.concatenate([np.linspace(0.0, 1.0, 11), [0.01, 0.02]])
+    edges = [[k, k + 1] for k in range(10)] + [[11, 12]]
+    lengths = np.abs(np.diff(xs[np.array(edges)], axis=1))[:, 0]
+    sp = DiscreteSpace(xs[:, None], np.full(13, 0.1), edges, lengths,
+                       "euclidean", 0.1)
+    sf = build_green(sp, np.nonzero(xs < 0.95)[0], 0, 2.0, rho=0.015)
+    assert sf.result.diagnostics["plateau_nodes"] == 1
+    rep = check_level_sets(sp, sf, [(0.0, sf.max_value)])
+    res, = rep.results
+    assert res is not sf.result and rep.entries[0][3] == pytest.approx(1.0, abs=1e-9)
+    # the pole's own condenser, asked for a residual its solve did not reach
+    g, domain, c, sf = plane_green
+    tight = sf.result.residual / 2.0
+    res, = check_level_sets(g, sf, [(0.0, sf.max_value)], tol=tight).results
+    assert res is not sf.result and res.residual < tight
+    assert res.value == pytest.approx(sf.cap_inner, rel=1e-9)
 
 
 def test_level_pairs_stay_in_band(plane_green):

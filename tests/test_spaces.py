@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conftest import origin_node
@@ -563,3 +564,30 @@ def test_a_repeated_edge_counts_once_at_its_shortest_length():
                        [[0, 1], [0, 1], [1, 2], [1, 2]], [1.0, 1.0, 1.5, 1.0],
                        "path", 1.0)
     assert np.array_equal(sp.distances_from(0), [0.0, 1.0, 2.0])
+
+
+def test_symmetric_path_rows_equal_the_undirected_rows(glued2):
+    # glued balls with one edge repeated in the other orientation, longer,
+    # and another repeated in the other orientation, shorter
+    e = glued2.edges
+    edges = np.concatenate([e, e[[5, 17], ::-1]])
+    lengths = np.concatenate([glued2.edge_lengths,
+                              [1.5 * glued2.edge_lengths[5],
+                               0.5 * glued2.edge_lengths[17]]])
+    sp = DiscreteSpace(glued2.coords, glued2.mass, edges, lengths, "path",
+                       glued2.resolution)
+    # the undirected search of one orientation, each pair at its shortest
+    shortest = {}
+    for (i, j), length in zip(edges.tolist(), lengths.tolist()):
+        key = (min(i, j), max(i, j))
+        shortest[key] = min(length, shortest.get(key, np.inf))
+    pairs = np.array(list(shortest))
+    graph = coo_matrix((list(shortest.values()), (pairs[:, 0], pairs[:, 1])),
+                       shape=(sp.n_nodes, sp.n_nodes)).tocsr()
+    symmetric = sp._graph()
+    assert (symmetric != symmetric.T).nnz == 0
+    for c in (0, int(e[17, 0]), sp.n_nodes - 1):
+        row = sp.distances_from(c)
+        assert row.tobytes() == dijkstra(graph, directed=False, indices=c).tobytes()
+        assert row.tobytes() == dijkstra(sp._graph(), directed=False,
+                                         indices=c).tobytes()
