@@ -35,14 +35,10 @@ the weighted Laplacian is B^T W B, whose right-hand side is the pull
 -B^T W du_fixed of the fixed ends.  Repeated edges add up in the products.
 B is built at its final size from the free ends of the system edges and
 stored in one orientation only, as B^T in CSR; B is its transpose, a CSC
-view of the same arrays.  The first IRLS iteration forms B^T W B as a
-sparse product, which reads B by rows, so scipy converts the view for the
-length of that product.  Later iterations refill the first product's
-layout instead: the diagonal is |B^T| (c w), and each off-diagonal entry
-is minus the summed c w of the edges joining its nodes, summed edge by
-edge as the product sums them, so every entry is the product's own.
-The whole-space masks that pick the free nodes are dropped once the free
-nodes and the diagnostics counts exist.
+view of the same arrays.  Each IRLS iteration forms B^T W B as a sparse
+product, which reads B by rows, so scipy converts the view for the length
+of that product.  The whole-space masks that pick the free nodes are
+dropped once the free nodes and the diagnostics counts exist.
 
 The preconditioner is chosen from the system, not set by the caller.  A
 system on a Euclidean space of at most three coordinates with more than
@@ -54,13 +50,11 @@ P^T A P, formed restriction first as (P^T A) P so that no fine-size A P is
 held, are coarsened again with boxes three times wider, down to a direct
 solve of at most ``COARSEST`` unknowns.  One damped-Jacobi step before and
 one after each coarse correction keep it symmetric.  CG iterations then no
-longer grow like 1 / h, at any p.  The first IRLS iteration that applies
-the V-cycle builds the hierarchy of its matrix (so a CG that does not
-iterate builds none), and later iterations refill it with theirs: the
-aggregates and the sparse patterns of A, P and P^T stay, A T is one
-bincount of A's entries, P^T one gather of P's values, and only the
-Galerkin products and the coarsest LU are formed anew.  Every other system
-keeps the diagonal (Jacobi) preconditioner: the gauge lattice and path
+longer grow like 1 / h, at any p.  The prolongations depend on the
+condenser: the first IRLS iteration builds them, with P^T, from its
+matrix, and every iteration forms the Galerkin products of its own matrix
+through them and factors its coarsest one.  Every other system keeps the
+diagonal (Jacobi) preconditioner: the gauge lattice and path
 metrics, whose nodes are not boxed by coordinates; grids of four or more
 coordinates, whose 81-cell boxes make the Galerkin levels so dense that a
 V-cycle costs more than the CG iterations it saves; and small systems.
@@ -78,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .bounds import lower_bound, regime, upper_bound
@@ -189,102 +183,29 @@ def _line_search(c, a, b, p, t_max, slope0):
     return lo if lo > 0 else t
 
 
-def _positions(matrix, rows, cols):
-    """Index into ``matrix.data`` of each stored entry (rows[k], cols[k]).
-
-    scipy looks the entries up, with no sort, in a matrix of the same
-    pattern whose values are the indices plus one.
-    """
-    lookup = csr_array((np.arange(1, matrix.nnz + 1, dtype=float),
-                        matrix.indices, matrix.indptr), shape=matrix.shape)
-    return (lookup[rows, cols] - 1).astype(matrix.indices.dtype)
-
-
-def _laplacian_refill(lap, bt):
-    """Refill of B^T W B, for new edge weights c_e w_e, in the layout of
-    ``lap``, a product of the same B.
-
-    The sparse product sums the contributions of an entry edge by edge; so
-    does the refill, so each entry is what the product gives, bit for bit.
-    The diagonal is |B^T| (c w); an off-diagonal entry is minus the summed
-    c w of the edges that join its two nodes.
-    """
-    nf, nnz, indices, indptr = lap.shape[0], lap.nnz, lap.indices, lap.indptr
-    degree = csr_matrix((np.abs(bt.data), bt.indices, bt.indptr), shape=bt.shape)
-    ends = bt.T.tocsr()  # B by rows: the free ends of each system edge
-    two = np.flatnonzero(np.diff(ends.indptr) == 2)
-    i = ends.indices[ends.indptr[two]]
-    j = ends.indices[ends.indptr[two] + 1]
-    del ends
-    off = _positions(lap, np.column_stack((i, j)).ravel(),
-                     np.column_stack((j, i)).ravel())
-    del i, j
-    pairs = np.repeat(two.astype(indices.dtype), 2)  # the edge of each in off
-    del two
-    rows = np.repeat(np.arange(nf, dtype=indices.dtype), np.diff(indptr))
-    diag = np.flatnonzero(indices == rows).astype(indices.dtype)
-    del rows
-
-    def refill(cw):
-        data = -np.bincount(off, weights=cw[pairs], minlength=nnz)
-        data[diag] = degree @ cw
-        return csr_matrix((data, indices, indptr), shape=(nf, nf))
-
-    return refill
-
-
 class _Level:
     """One level of the V-cycle: the matrix ``a``, the damped-Jacobi
-    ``smoother`` omega / diag A, the prolongation P = (I - omega D^-1 A) T
-    of the aggregates ``agg`` and the restriction P^T, stored in CSR.
+    ``smoother`` omega / diag A, and the prolongation P = (I - omega D^-1 A) T
+    of the aggregates with its restriction P^T, stored in CSR.
 
-    ``refill`` takes a new A.  If it has the pattern of the old one, the
-    values of P and P^T are written into their patterns: A T is one
-    bincount of A's entries and P^T one gather of P's.  The maps for this
-    are built by the first refill.  A new pattern (a coarse product can
-    drop an exact zero) gets P and P^T built afresh and its maps later.
+    P and P^T are smoothed with the matrix the level is built from and kept
+    for the condenser; ``update`` takes a later iteration's A and its
+    smoother only.
     """
 
     def __init__(self, a, agg, n_agg):
-        self.agg, self.n_agg = agg, n_agg
-        self._smooth(a)
-
-    def _smooth(self, a):
         n = a.shape[0]
-        self.a, self.maps = a, None
-        self.smoother = SMOOTHING * (1.0 / a.diagonal())
-        tentative = csr_matrix((np.ones(n), self.agg, np.arange(n + 1)),
-                               shape=(n, self.n_agg))
+        self.update(a)
+        tentative = csr_matrix((np.ones(n), agg, np.arange(n + 1)), shape=(n, n_agg))
         smooth = a @ tentative
         smooth.data *= np.repeat(self.smoother, np.diff(smooth.indptr))
         self.prolong = (tentative - smooth).tocsr()
         del tentative, smooth
         self.restrict = self.prolong.T.tocsr()
 
-    def refill(self, a):
-        if not (np.array_equal(a.indptr, self.a.indptr)
-                and np.array_equal(a.indices, self.a.indices)):
-            self._smooth(a)
-            return
-        prolong = self.prolong
-        if self.maps is None:
-            # where each entry of A lands in A T, which entries of P hold T's
-            # ones, and the order of P's entries in P^T
-            rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype),
-                             np.diff(a.indptr))
-            into = _positions(prolong, rows, self.agg[a.indices])
-            del rows
-            unit = prolong.indices == np.repeat(self.agg, np.diff(prolong.indptr))
-            order = csr_matrix((np.arange(prolong.nnz, dtype=prolong.indices.dtype),
-                                prolong.indices, prolong.indptr),
-                               shape=prolong.shape).T.tocsr().data
-            self.maps = into, unit, order
-        into, unit, order = self.maps
+    def update(self, a):
         self.a = a
         self.smoother = SMOOTHING * (1.0 / a.diagonal())
-        at = np.bincount(into, weights=a.data, minlength=prolong.nnz)
-        prolong.data = unit - at * np.repeat(self.smoother, np.diff(prolong.indptr))
-        self.restrict.data = prolong.data[order]
 
 
 def _hierarchy(lap, cells):
@@ -296,7 +217,8 @@ def _hierarchy(lap, cells):
     the piecewise-constant prolongation of the boxes by one damped-Jacobi
     step, and passes the Galerkin product (P^T A) P down, until at most
     ``COARSEST`` unknowns remain.  Returns the levels and the LU factors of
-    the coarsest matrix.
+    the coarsest matrix.  The levels keep their P and P^T for the
+    condenser, and ``_refill`` passes a later matrix down through them.
     """
     levels = []
     a = lap
@@ -315,12 +237,13 @@ def _hierarchy(lap, cells):
 
 
 def _refill(levels, lap):
-    """Refill the levels of an earlier ``_hierarchy`` with the values of
-    ``lap``, a matrix of the first one's pattern, and return the new LU
-    factors of the coarsest matrix."""
+    """Pass ``lap``, a later matrix of the condenser, down the levels of an
+    earlier ``_hierarchy`` through their kept P and P^T: each level takes
+    its new matrix and smoother, and the Galerkin products are formed anew.
+    Returns the LU factors of the coarsest matrix."""
     a = lap
     for level in levels:
-        level.refill(a)
+        level.update(a)
         a = (level.restrict @ a) @ level.prolong
     return splu(a.tocsc())
 
@@ -338,26 +261,6 @@ def _vcycle(levels, coarsest, b):
     return x
 
 
-def _multilevel(lap, cells, kept):
-    """V-cycle preconditioner of ``lap``.  ``kept`` holds the condenser's
-    hierarchy across IRLS iterations: the first iteration that applies the
-    preconditioner builds it, later ones refill it with their own matrix.
-    Either happens on first use, so a CG that does not iterate does neither.
-    """
-    stale = [True]
-
-    def apply(b):
-        if stale:
-            if kept:
-                kept[1] = _refill(kept[0], lap)
-            else:
-                kept.extend(_hierarchy(lap, cells))
-            stale.clear()
-        return _vcycle(*kept, b)
-
-    return LinearOperator(lap.shape, matvec=apply, dtype=float)
-
-
 def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
                     x0=None) -> CapacityResult:
     """Minimize the discrete p-energy under condenser constraints.
@@ -366,8 +269,8 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     ----------
     space : DiscreteSpace
     condenser : Condenser
-        ``inner`` must be nonempty and contained in ``domain``; the domain
-        must leave at least one free node.
+        Node ids in [0, n_nodes).  ``inner`` must be nonempty and contained
+        in ``domain``; the domain must leave at least one free node.
     p : float
         Exponent, p > 1.
     tol : float
@@ -410,6 +313,9 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     domain = condenser.domain
     if inner.size == 0:
         raise ValueError("inner set must be nonempty")
+    for ids in (inner, domain):
+        if ids.size and not (0 <= ids.min() and ids.max() < n):
+            raise ValueError(f"condenser node ids must lie in [0, {n})")
     in_domain = np.zeros(n, dtype=bool)
     in_domain[domain] = True
     if not in_domain[inner].all():
@@ -504,24 +410,14 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         diagnostics["energy_trace"].append(energy)
         return CapacityResult(energy, u, 0, 0.0, True, diagnostics)
 
-    first = refill = None
-
     def assemble(weights):
         """The weighted Laplacian B^T W B and its right-hand side, the pull
-        of the fixed ends on the free ones.  The first is a sparse product;
-        later ones refill its layout, with maps that the second builds."""
-        nonlocal first, refill
+        of the fixed ends on the free ones."""
         cw = c * weights
-        if first is None and refill is None:
-            btw = csr_matrix((bt.data * cw[bt.indices], bt.indices, bt.indptr),
-                             shape=bt.shape)
-            del cw  # not held through the product
-            first = btw @ b
-            return first, -(btw @ du_fixed)
-        if refill is None:
-            refill, first = _laplacian_refill(first, bt), None
-        # bt @ (c w du) is btw @ du bit for bit: each term only changes sign
-        return refill(cw), -(bt @ (cw * du_fixed))
+        btw = csr_matrix((bt.data * cw[bt.indices], bt.indices, bt.indptr),
+                         shape=bt.shape)
+        del cw  # not held through the product
+        return btw @ b, -(btw @ du_fixed)
 
     def count_cg(_xk):
         diagnostics["cg_iters"] += 1
@@ -535,7 +431,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         coords = space.coords[free_ids]
         cells = np.rint((coords - coords.min(axis=0)) / lengths.min()).astype(np.int32)
         diagnostics["preconditioner"] = "multilevel"
-        hierarchy = []  # the levels and coarsest LU, kept across iterations
+        levels = None  # built by the first iteration, kept for the condenser
         del coords
 
     rtol = max(tol / 10.0, 1e-13)
@@ -566,7 +462,12 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         if p != 2:
             atol = min(atol, rtol * g_scale / p)
         if multilevel:
-            precond = _multilevel(lap, cells, hierarchy)
+            if levels is None:
+                levels, coarsest = _hierarchy(lap, cells)
+            else:
+                coarsest = _refill(levels, lap)
+            precond = LinearOperator((nf, nf),
+                                     matvec=lambda v: _vcycle(levels, coarsest, v))
         else:
             inv_diag = 1.0 / np.maximum(lap.diagonal(), 1e-300)
             precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)

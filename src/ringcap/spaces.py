@@ -211,6 +211,9 @@ class DiscreteSpace:
         return row
 
     def distance(self, i: int, j: int) -> float:
+        i, j = int(i), int(j)
+        if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
+            raise ValueError("node id out of range")
         if self.metric == "path":
             return float(self.distances_from(i)[j])
         return float(self._formula(self.coords[i], self.coords[j]))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from conftest import origin_node
@@ -333,8 +333,8 @@ def test_ring_solve_from_the_radial_extremal_agrees_with_a_cold_solve(request,
         assert res.diagnostics["cg_iters"] == cold.diagnostics["cg_iters"]
 
 
-@pytest.mark.parametrize("r, irls, cg", [(0.1, (12, 9), (116, 65)),
-                                         (0.3, (10, 9), (101, 71))])
+@pytest.mark.parametrize("r, irls, cg", [(0.1, (13, 9), (105, 64)),
+                                         (0.3, (10, 9), (90, 65))])
 def test_radial_extremal_saves_iterations_on_the_plane(grid2_fine, r, irls, cg):
     # the p = 1.5 rings of the benchmark sweep, cold and from the extremal
     c = origin_node(grid2_fine)
@@ -446,6 +446,21 @@ def test_condenser_validation(patch2):
         solve_condenser(patch2, ring_condenser(patch2, c, 0.15, 0.5), 2.0, tol=0.0)
 
 
+@pytest.mark.parametrize("case", ["inner -1", "inner n", "domain -1", "domain n"])
+def test_condenser_ids_out_of_range_are_rejected(patch2, case):
+    # an inner id of -1 once solved with node n - 1 as the plate, and an id
+    # of n raised IndexError
+    n = patch2.n_nodes
+    bad = -1 if case.endswith("-1") else n
+    inner, domain = np.array([0]), np.arange(n)
+    if case.startswith("inner"):
+        inner = np.array([bad])
+    else:
+        domain = np.append(domain, bad)
+    with pytest.raises(ValueError, match="condenser node ids"):
+        solve_condenser(patch2, Condenser(inner, domain), 2.0)
+
+
 # ----------------------------------------------------------------------
 # preconditioner choice
 # ----------------------------------------------------------------------
@@ -499,7 +514,8 @@ def test_coarse_matrices_are_the_galerkin_products(grid2_fine, monkeypatch):
 
     def keep(lap, cells):
         levels, coarsest = hierarchy(lap, cells)
-        built.append((levels, coarsest, cells))
+        first = [(lv.prolong, lv.restrict, lv.prolong.data.copy()) for lv in levels]
+        built.append((levels, coarsest, first))
         return levels, coarsest
 
     def keep_refill(levels, lap):
@@ -515,82 +531,23 @@ def test_coarse_matrices_are_the_galerkin_products(grid2_fine, monkeypatch):
     assert res.converged and len(built) == 1 and not refilled
     assert_galerkin_levels(*built[0][:2])
 
-    # p = 3: later IRLS iterations refill the first one's levels; the last
-    # refill holds the Galerkin products of the last matrix, and the levels
-    # a fresh build of that matrix makes
+    # p = 3: the hierarchy is built once per condenser, and every later IRLS
+    # iteration passes its matrix down through the first build's P and P^T;
+    # the last refill holds the Galerkin products of the last matrix, and
+    # each level smooths with omega / diag of its current A
     built.clear()
     res = relative_capacity(grid2_fine, c, 0.25, 1.0, 3.0)
-    assert res.converged and len(built) == 1 and len(refilled) >= 3
-    levels, _, cells = built[0]
+    assert res.converged and len(built) == 1
+    assert len(refilled) == res.iterations - 1 >= 3
+    levels, _, first = built[0]
     lap, coarsest = refilled[-1]
     assert levels[0].a is lap
     assert_galerkin_levels(levels, coarsest)
-    fresh, _ = hierarchy(lap, cells)
-    assert len(fresh) == len(levels)
-    for old, new in zip(levels, fresh):
-        for kept, made in ((old.a, new.a), (old.prolong, new.prolong)):
-            assert abs(kept - made).max() <= 1e-12 * abs(made).max()
-        assert np.array_equal(old.smoother, new.smoother)
-
-
-def test_refill_of_a_new_pattern_builds_its_levels_afresh():
-    # a 140 x 140 grid Laplacian, then the same with one coupling removed: the
-    # pattern differs, so the refill must give the levels of a fresh build
-    m = 140
-    n = m * m
-    k = np.arange(n).reshape(m, m)
-    i = np.concatenate([k[:, :-1].ravel(), k[:-1, :].ravel()])
-    j = np.concatenate([k[:, 1:].ravel(), k[1:, :].ravel()])
-    w = 1.0 + np.random.default_rng(0).random(i.size)
-
-    def laplacian(w):
-        d = np.bincount(i, w, n) + np.bincount(j, w, n) + 0.1
-        rows = np.concatenate([i, j, np.arange(n)])
-        cols = np.concatenate([j, i, np.arange(n)])
-        return coo_matrix((np.concatenate([-w, -w, d]), (rows, cols)),
-                          shape=(n, n)).tocsr()
-
-    cells = np.column_stack(np.divmod(np.arange(n), m)).astype(np.int32)
-    levels, _ = solver._hierarchy(laplacian(w), cells)
-    w[5] = 0.0
-    lap = laplacian(w)
-    lap.eliminate_zeros()
-    coarsest = solver._refill(levels, lap)
-    fresh, fresh_coarsest = solver._hierarchy(lap, cells)
-    assert len(levels) == len(fresh) >= 2
-    for old, new in zip(levels, fresh):
-        for kept, made in ((old.a, new.a), (old.prolong, new.prolong),
-                           (old.restrict, new.restrict)):
-            assert abs(kept - made).max() <= 1e-12 * abs(made).max()
-    x = np.random.default_rng(1).standard_normal(fresh_coarsest.shape[0])
-    assert np.abs(coarsest.solve(x) - fresh_coarsest.solve(x)).max() <= 1e-9 * np.abs(
-        fresh_coarsest.solve(x)).max()
-
-
-def test_refilled_laplacian_is_the_sparse_product(grid2_fine, monkeypatch):
-    products = []
-
-    def keep(lap, bt):
-        fill = laplacian_refill(lap, bt)
-
-        def refill(cw):
-            out = fill(cw)
-            btw = csr_matrix((bt.data * cw[bt.indices], bt.indices, bt.indptr),
-                             shape=bt.shape)
-            products.append((out, btw @ bt.T))
-            return out
-
-        return refill
-
-    laplacian_refill = solver._laplacian_refill
-    monkeypatch.setattr(solver, "_laplacian_refill", keep)
-    res = relative_capacity(grid2_fine, origin_node(grid2_fine), 0.25, 1.0, 3.0)
-    assert res.converged and len(products) == res.iterations - 1
-    for out, product in products:
-        # entry for entry, in the product's own layout
-        assert np.array_equal(out.indptr, product.indptr)
-        assert np.array_equal(out.indices, product.indices)
-        assert np.array_equal(out.data, product.data)
+    for level, (prolong, restrict, data) in zip(levels, first):
+        assert level.prolong is prolong and level.restrict is restrict
+        assert np.array_equal(prolong.data, data)
+        assert np.array_equal(level.smoother,
+                              solver.SMOOTHING * (1.0 / level.a.diagonal()))
 
 
 def test_pole_solve_memory_is_bounded_by_its_system():

@@ -173,6 +173,18 @@ def test_only_the_latest_row_is_kept(request, name):
     assert again.tobytes() == first.tobytes()
 
 
+@pytest.mark.parametrize("name", ["grid2", "glued2"])
+def test_pair_distance_rejects_ids_out_of_range(request, name):
+    # a closed-form metric read distance(-1, 0) as node n - 1's and raised
+    # IndexError at n; a path space wrapped j = -1 the same way
+    space = request.getfixturevalue(name)
+    n = space.n_nodes
+    assert space.distance(n - 1, 0) == pytest.approx(space.distances_from(0)[n - 1])
+    for i, j in ((-1, 0), (0, -1), (n, 0), (0, n)):
+        with pytest.raises(ValueError, match="out of range"):
+            space.distance(i, j)
+
+
 @pytest.mark.parametrize("kind", ["gauge", "grid2"])
 def test_distance_row_memory(kind):
     # one uncached row used to peak at 14 row sizes (gauge) and 7 (grid)
