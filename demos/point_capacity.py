@@ -10,7 +10,7 @@ is the discrete shadow of the classical polarity dichotomy at p = Q.
 import numpy as np
 
 from ringcap import build_euclidean_grid
-from ringcap.bounds import singleton_capacity_limit
+from ringcap.solver import singleton_capacity_limit
 
 radii = [2.0 ** -k for k in range(1, 6)]
 labels = ", ".join(f"1/{2 ** k}" for k in range(1, 6))

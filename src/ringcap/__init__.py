@@ -7,7 +7,8 @@ The package assembles one pipeline:
 ``dimension``  estimate doubling constants and pointwise dimensions from
                ball masses;
 ``bounds``     closed-form lower/upper capacity bounds for rings, split by
-               the regime of the exponent against the dimension;
+               the regime of the exponent against the dimension, and the
+               input rules (exponent, radii, tolerance) of the layers above;
 ``profiles``   radial test potentials and their discrete p-energies;
 ``solver``     convex minimization of the discrete p-energy under condenser
                constraints (the capacity itself);
@@ -42,7 +43,6 @@ from .bounds import (
     lower_bound,
     regime,
     riesz_potential,
-    singleton_capacity_limit,
     upper_bound,
 )
 from .profiles import (
@@ -61,6 +61,7 @@ from .solver import (
     monotonicity_suite,
     relative_capacity,
     ring_condenser,
+    singleton_capacity_limit,
     solve_condenser,
     verify_sandwich,
 )

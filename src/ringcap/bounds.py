@@ -13,8 +13,8 @@ Each envelope is a scale statement: it pins the exponents of r, R and the
 ball mass but holds only up to a multiplicative structure constant, which
 is normalized to 1 here.  All remaining factors are written out exactly,
 so values are reproducible numbers rather than order estimates.  A
-pointwise Riesz-type potential of the gradient and a singleton (capacity
-of a shrinking ball) helper complete the module.
+pointwise Riesz-type potential of the gradient and the NaN-safe input
+rules of the layers above complete the module.
 """
 
 from __future__ import annotations
@@ -30,22 +30,25 @@ __all__ = [
     "RegimeEstimate",
     "estimate_ring",
     "riesz_potential",
-    "SingletonLimit",
-    "singleton_capacity_limit",
 ]
 
 REGIME_TOL = 1e-9
 
 
-def _check_ring(r, R, p):
-    if not (np.isfinite(r) and np.isfinite(R) and np.isfinite(p)):
-        raise ValueError("ring parameters must be finite")
-    if r <= 0:
-        raise ValueError("inner radius must be positive")
-    if R <= r:
-        raise ValueError("outer radius must exceed inner radius")
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
+# ``not lo < x < hi`` rejects NaN, which fails every comparison
+def _check_exponent(p):
+    if not 1 < p < np.inf:
+        raise ValueError("exponent p must be finite and exceed 1")
+
+
+def _check_radii(r, R):
+    if not 0 < r < R < np.inf:
+        raise ValueError("radii must be finite with 0 < r < R")
+
+
+def _check_positive(value, name):
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive")
 
 
 def regime(p, q_center) -> str:
@@ -54,9 +57,8 @@ def regime(p, q_center) -> str:
     Returns "below", "critical" or "above"; ties within ``REGIME_TOL`` are
     critical.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
-    if not np.isfinite(q_center) or q_center < 1:
+    _check_exponent(p)
+    if not 1 <= q_center < np.inf:
         raise ValueError("pointwise dimension must be finite and at least 1")
     if abs(p - q_center) <= REGIME_TOL:
         return "critical"
@@ -64,8 +66,8 @@ def regime(p, q_center) -> str:
 
 
 def _checked_regime(r, R, p, q_center, mass_inner):
-    _check_ring(r, R, p)
-    if mass_inner < 0:
+    _check_radii(r, R)
+    if not mass_inner >= 0:
         raise ValueError("inner ball mass must be nonnegative")
     return regime(p, q_center)
 
@@ -165,8 +167,8 @@ def riesz_potential(space, field, node, center, r, p) -> float:
 
     over ball nodes y != x.  Doubling the field doubles the result.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
+    _check_exponent(p)
+    _check_positive(r, "ball radius r")
     node, center = int(node), int(center)
     d_center = space.distances_from(center)
     if d_center[node] >= r:
@@ -184,48 +186,3 @@ def riesz_potential(space, field, node, center, r, p) -> float:
         raise ValueError("zero-mass ball encountered in the potential sum")
     terms = field.lip[ball] ** p * dx[ball] / ball_mass_at * space.mass[ball]
     return float((r ** (p - 1.0) * terms.sum()) ** (1.0 / p))
-
-
-@dataclass
-class SingletonLimit:
-    """Capacity of a shrinking inner ball at fixed outer radius."""
-
-    radii: np.ndarray
-    capacities: np.ndarray
-    limit_estimate: float
-    last_relative_change: float
-    converged: np.ndarray  # whether the solve at each radius converged
-
-    @property
-    def decreasing(self) -> bool:
-        return bool(np.all(np.diff(self.capacities) <= 1e-12))
-
-
-def singleton_capacity_limit(space, center, p, R, radii, tol=1e-8) -> SingletonLimit:
-    """Solve the ring capacity along a decreasing sequence of inner radii.
-
-    The radii must be strictly decreasing and below R.  The limit estimate
-    is the last capacity; ``last_relative_change`` quantifies how settled
-    the tail is.
-    """
-    from .solver import relative_capacity
-
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 2:
-        raise ValueError("need at least two radii")
-    if np.any(np.diff(radii) >= 0):
-        raise ValueError("radii must be strictly decreasing")
-    if radii[0] >= R:
-        raise ValueError("inner radii must stay below the outer radius")
-    h = float(space.resolution)
-    if np.any(radii < 5.0 * h * (1.0 - 1e-12)):
-        raise ValueError(
-            "inner radii below 5 grid spacings cannot resolve the ring; "
-            "refine the grid instead"
-        )
-    caps, converged = np.zeros(radii.size), np.zeros(radii.size, dtype=bool)
-    for k, r in enumerate(radii):
-        res = relative_capacity(space, center, float(r), R, p, tol=tol)
-        caps[k], converged[k] = res.value, res.converged
-    change = abs(caps[-1] - caps[-2]) / max(caps[-1], 1e-300)
-    return SingletonLimit(radii, caps, float(caps[-1]), float(change), converged)

@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import estimate_ring, regime, singleton_capacity_limit
+from .bounds import estimate_ring, regime
 from .dimension import analyze_dimension, fit_power_law
 from .green import blowup_trend, build_green, check_level_sets
 from .profiles import dyadic_shell_energy, log_profile, p_energy, power_profile, radialize
-from .solver import relative_capacity, verify_sandwich
+from .solver import relative_capacity, singleton_capacity_limit, verify_sandwich
 from .spaces import (
     build_double_cone,
     build_euclidean_grid,
@@ -560,6 +560,8 @@ def run(task, config_path, out_dir, seed=None, quiet=False) -> int:
     """Execute one subcommand; returns the process exit status."""
     started = time.monotonic()
     try:
+        if task not in _TASKS:
+            raise ConfigError(f"unknown task '{task}'")
         config = _load_config(config_path)
         top = _Keys(config, "config")
         space_spec = top.take("space", None)

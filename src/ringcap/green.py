@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import regime
+from .bounds import _check_exponent, _check_positive, regime
 from .dimension import fit_power_law
-from .solver import CapacityResult, Condenser, solve_condenser
+from .solver import CapacityResult, Condenser, _check_node_ids, solve_condenser
+from .spaces import _edge_components
 
 __all__ = [
     "SingularFunction",
@@ -48,6 +49,7 @@ class SingularFunction:
     cap_inner: float
     domain: np.ndarray
     result: CapacityResult
+    plate: np.ndarray  # node ids of the pole plate, the closed ball B(center, rho)
 
     @property
     def max_value(self) -> float:
@@ -61,29 +63,29 @@ def build_green(space, domain, center, p, rho=None, tol=1e-6) -> SingularFunctio
     the default, three grid steps, keeps the plate a few nodes wide at
     every resolution so the normalizing capacity stays stable.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
+    _check_exponent(p)
     domain = np.asarray(domain, dtype=np.int64)
     center = int(center)
     if rho is None:
         rho = 3.0 * space.resolution
-    if rho <= 0:
-        raise ValueError("pole radius must be positive")
-    in_domain = np.zeros(space.n_nodes, dtype=bool)
+    _check_positive(rho, "pole radius")
+    n = space.n_nodes
+    _check_node_ids(domain, n)
+    in_domain = np.zeros(n, dtype=bool)
     in_domain[domain] = True
-    if not in_domain[center]:
+    if not (0 <= center < n and in_domain[center]):
         raise ValueError("pole must lie in the domain")
-    inner = space.closed_ball(center, rho)
-    if not in_domain[inner].all():
+    plate = space.closed_ball(center, rho)
+    if not in_domain[plate].all():
         raise ValueError("pole ball spills out of the domain; shrink rho")
-    if inner.size == domain.size:
+    if plate.size == domain.size:
         raise ValueError("pole ball fills the domain; shrink rho")
-    res = solve_condenser(space, Condenser(inner, domain), p, tol=tol)
+    res = solve_condenser(space, Condenser(plate, domain), p, tol=tol)
     cap = res.value
     if cap <= 0:
         raise ValueError("condenser capacity vanished; domain has no boundary")
     values = cap ** (1.0 / (1.0 - p)) * res.u
-    return SingularFunction(values, center, float(p), float(rho), cap, domain, res)
+    return SingularFunction(values, center, float(p), float(rho), cap, domain, res, plate)
 
 
 @dataclass
@@ -140,8 +142,7 @@ def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
             entries.append((a, b, None, None))
             results.append(None)
             continue
-        if (reuse and np.array_equal(lower, sf.domain)
-                and np.array_equal(upper, space.closed_ball(sf.center, sf.rho))):
+        if reuse and np.array_equal(lower, sf.domain) and np.array_equal(upper, sf.plate):
             res = pole
         else:
             res = solve_condenser(space, Condenser(upper, lower), sf.p, tol=tol,
@@ -225,9 +226,8 @@ def maximum_principle_check(space, sf: SingularFunction) -> MaxPrincipleReport:
     n = space.n_nodes
     in_domain = np.zeros(n, dtype=bool)
     in_domain[sf.domain] = True
-    plate = np.zeros(n, dtype=bool)
-    plate[space.closed_ball(sf.center, sf.rho)] = True
-    interior = in_domain & ~plate
+    interior = in_domain.copy()
+    interior[sf.plate] = False
 
     nbr_max = np.full(n, -np.inf)
     ei, ej = space.edges[:, 0], space.edges[:, 1]
@@ -238,12 +238,7 @@ def maximum_principle_check(space, sf: SingularFunction) -> MaxPrincipleReport:
     scale = max(1.0, sf.max_value)
     worst = float((g[check] - nbr_max[check]).max()) if check.any() else -np.inf
 
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    keep = in_domain[ei] & in_domain[ej]
-    sub = coo_matrix((np.ones(int(keep.sum())), (ei[keep], ej[keep])), shape=(n, n))
-    _, labels = connected_components(sub, directed=False)
+    labels = _edge_components(n, space.edges, in_domain[ei] & in_domain[ej])
     comp = in_domain & (labels == labels[sf.center])
     min_val = float(g[comp].min())
     positive_ok = min_val > 0.0

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_exponent, _check_radii
+
 __all__ = [
     "RadialProfile",
     "power_profile",
@@ -45,8 +47,7 @@ class RadialProfile:
     """
 
     def __init__(self, kind, r, R, value_fn, deriv_fn):
-        if r <= 0 or R <= r:
-            raise ValueError("need 0 < r < R")
+        _check_radii(r, R)
         self.kind = kind
         self.r = float(r)
         self.R = float(R)
@@ -79,8 +80,10 @@ def power_profile(r, R, p, q) -> RadialProfile:
     ``a = (p - q) / (p - 1)``; for p < q it decays like the fundamental
     radial solution, for p > q it is the increasing-exponent analogue.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
+    _check_exponent(p)
+    _check_radii(r, R)
+    if not np.isfinite(q):
+        raise ValueError("dimension q must be finite")
     if abs(p - q) <= 1e-12:
         raise ValueError("power profile degenerates at p = q; use log_profile")
     a = (p - q) / (p - 1.0)
@@ -97,8 +100,7 @@ def power_profile(r, R, p, q) -> RadialProfile:
 
 def log_profile(r, R) -> RadialProfile:
     """Logarithmic ring profile log(R/t) / log(R/r), the critical-case shape."""
-    if r <= 0 or R <= r:
-        raise ValueError("need 0 < r < R")
+    _check_radii(r, R)
     scale = np.log(R / r)
 
     def value(t):
@@ -157,8 +159,7 @@ def p_energy(space, field, p) -> EnergySplit:
     capacity comparisons; the node form (Lipschitz surrogate) is the one
     that partitions exactly over node sets.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
+    _check_exponent(p)
     edge = float((space.edge_masses() * field.g_edge**p).sum())
     node = float((space.mass * field.lip**p).sum())
     return EnergySplit(edge, node)
@@ -184,10 +185,8 @@ def dyadic_shell_energy(space, field, center, r, R, p) -> ShellEnergies:
     with 2^k r <= d < min(2^(k+1) r, R) (shell 0 starts strictly above r).
     The shell energies sum exactly to the node-form energy of the open ring.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
-    if r <= 0 or R <= r:
-        raise ValueError("need 0 < r < R")
+    _check_exponent(p)
+    _check_radii(r, R)
     k0 = int(np.floor(np.log2(R / r)))
     while 2.0 ** (k0 + 1) * r <= R:
         k0 += 1

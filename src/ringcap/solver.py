@@ -64,7 +64,9 @@ clipped to [0, 1] on the free nodes.  Its convergence is still judged
 against the gradient at the cold start, where the potential is the
 indicator of the inner plate, so a guess moves neither the target nor the
 result beyond the tolerance.  ``relative_capacity`` starts its solves at
-p < 2 at the radial extremal of the ring.
+p < 2 at the radial extremal of the ring, and ``singleton_capacity_limit``
+follows its capacity as the inner ball shrinks towards a single point at
+a fixed outer radius.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .bounds import lower_bound, regime, upper_bound
+from .bounds import (_check_exponent, _check_positive, _check_radii, lower_bound,
+                     regime, upper_bound)
+from .dimension import _radius_floor
 from .profiles import log_profile, p_energy, power_profile, radialize
 
 __all__ = [
@@ -84,6 +88,8 @@ __all__ = [
     "CapacityResult",
     "solve_condenser",
     "relative_capacity",
+    "SingletonLimit",
+    "singleton_capacity_limit",
     "SandwichReport",
     "verify_sandwich",
     "MonotonicityReport",
@@ -111,17 +117,17 @@ class Condenser:
         self.domain = np.asarray(self.domain, dtype=np.int64)
 
 
+def _check_node_ids(ids, n):
+    if ids.size and not (0 <= ids.min() and ids.max() < n):
+        raise ValueError(f"condenser node ids must lie in [0, {n})")
+
+
 def ring_condenser(space, center, r, R) -> Condenser:
     """Condenser of the ring: closed inner ball against the open outer ball."""
-    if r <= 0:
-        raise ValueError("inner radius must be positive")
-    if R <= r:
-        raise ValueError("outer radius must exceed inner radius")
+    _check_radii(r, R)
     d = space.distances_from(int(center))
-    inner = np.nonzero(d <= r)[0]
+    inner = np.nonzero(d <= r)[0]  # holds the center, as r > 0
     domain = np.nonzero(d < R)[0]
-    if inner.size == 0:
-        raise ValueError("inner ball contains no nodes")
     if inner.size == domain.size:
         raise ValueError("ring contains no free nodes (r too close to R)")
     return Condenser(inner, domain)
@@ -304,18 +310,15 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     be expected at p = 2; for other exponents the scaling in r, R and mass
     is still faithful and is what the estimates target.
     """
-    if p <= 1:
-        raise ValueError("exponent p must exceed 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_exponent(p)
+    _check_positive(tol, "tolerance")
     n = space.n_nodes
     inner = condenser.inner
     domain = condenser.domain
     if inner.size == 0:
         raise ValueError("inner set must be nonempty")
     for ids in (inner, domain):
-        if ids.size and not (0 <= ids.min() and ids.max() < n):
-            raise ValueError(f"condenser node ids must lie in [0, {n})")
+        _check_node_ids(ids, n)
     in_domain = np.zeros(n, dtype=bool)
     in_domain[domain] = True
     if not in_domain[inner].all():
@@ -547,6 +550,44 @@ def relative_capacity(space, center, r, R, p, tol=1e-6, max_iter=100) -> Capacit
                     else power_profile(r, R, p, q))
             x0 = prof(space.distances_from(center))  # radialize's u, no edge pass
     return solve_condenser(space, cond, p, tol=tol, max_iter=max_iter, x0=x0)
+
+
+@dataclass
+class SingletonLimit:
+    """Capacity of a shrinking inner ball at fixed outer radius."""
+
+    radii: np.ndarray
+    capacities: np.ndarray
+    limit_estimate: float
+    last_relative_change: float
+    converged: np.ndarray  # whether the solve at each radius converged
+
+    @property
+    def decreasing(self) -> bool:
+        return bool(np.all(np.diff(self.capacities) <= 1e-12))
+
+
+def singleton_capacity_limit(space, center, p, R, radii, tol=1e-8) -> SingletonLimit:
+    """Solve the ring capacity along a decreasing sequence of inner radii.
+
+    The radii must be strictly decreasing and below R.  The limit estimate
+    is the last capacity; ``last_relative_change`` quantifies how settled
+    the tail is.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if radii.size < 2:
+        raise ValueError("need at least two radii")
+    if np.any(np.diff(radii) >= 0):
+        raise ValueError("radii must be strictly decreasing")
+    if np.any(radii < _radius_floor(space) * (1.0 - 1e-12)):
+        raise ValueError("inner radii below 5 grid spacings cannot resolve the ring; "
+                         "refine the grid instead")
+    caps, converged = np.zeros(radii.size), np.zeros(radii.size, dtype=bool)
+    for k, r in enumerate(radii):
+        res = relative_capacity(space, center, float(r), R, p, tol=tol)
+        caps[k], converged[k] = res.value, res.converged
+    change = abs(caps[-1] - caps[-2]) / max(caps[-1], 1e-300)
+    return SingletonLimit(radii, caps, float(caps[-1]), float(change), converged)
 
 
 @dataclass

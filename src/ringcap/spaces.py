@@ -162,26 +162,7 @@ class DiscreteSpace:
         """Component label of each node in the graph of the edges with
         positive edge mass; an edge between zero-mass nodes joins nothing."""
         if self._labels is None:
-            # int32 endpoints of the live edges, filled block by block, so no
-            # int64 copy of the live edges is made
-            live = self.edge_masses() > 0
-            i = np.empty(np.count_nonzero(live), dtype=np.int32)
-            j = np.empty_like(i)
-            filled = 0
-            for start in range(0, live.size, _EVAL_BLOCK):
-                pairs = self.edges[start:start + _EVAL_BLOCK][live[start:start + _EVAL_BLOCK]]
-                stop = filled + pairs.shape[0]
-                i[filled:stop], j[filled:stop] = pairs.T
-                filled = stop
-            del live
-            graph = coo_matrix((np.ones(i.size, dtype=np.int8), (i, j)),
-                               shape=(self.n_nodes, self.n_nodes)).tocsr()
-            del i, j
-            # connected_components works on a float64 CSR and its transpose;
-            # converting here, once the endpoints are gone, keeps a third
-            # copy of the graph from coexisting with those two
-            graph = graph.astype(np.float64)
-            self._labels = connected_components(graph, directed=False)[1]
+            self._labels = _edge_components(self.n_nodes, self.edges, self.edge_masses() > 0)
         return self._labels
 
     # ------------------------------------------------------------------
@@ -306,6 +287,29 @@ class DiscreteSpace:
 # ----------------------------------------------------------------------
 # closed-form metrics
 # ----------------------------------------------------------------------
+
+
+def _edge_components(n, edges, keep):
+    """Component label of each of n nodes in the graph of the edges that
+    ``keep`` marks.  Pass ``keep`` as a temporary: it is dropped once read."""
+    # int32 endpoints of the kept edges, filled block by block, so no int64
+    # copy of the kept edges is made
+    i = np.empty(np.count_nonzero(keep), dtype=np.int32)
+    j = np.empty_like(i)
+    filled = 0
+    for start in range(0, keep.size, _EVAL_BLOCK):
+        pairs = edges[start:start + _EVAL_BLOCK][keep[start:start + _EVAL_BLOCK]]
+        stop = filled + pairs.shape[0]
+        i[filled:stop], j[filled:stop] = pairs.T
+        filled = stop
+    del keep
+    graph = coo_matrix((np.ones(i.size, dtype=np.int8), (i, j)), shape=(n, n)).tocsr()
+    del i, j
+    # connected_components works on a float64 CSR and its transpose;
+    # converting here, once the endpoints are gone, keeps a third copy of
+    # the graph from coexisting with those two
+    graph = graph.astype(np.float64)
+    return connected_components(graph, directed=False)[1]
 
 
 def _by_blocks(formula, a, b):

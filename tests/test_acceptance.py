@@ -30,9 +30,10 @@ from ringcap import (
     relative_capacity,
     verify_metric,
 )
-from ringcap.bounds import lower_bound, singleton_capacity_limit, upper_bound
+from ringcap.bounds import lower_bound, upper_bound
 from ringcap.dimension import pointwise_dimension
 from ringcap.profiles import log_profile, p_energy, power_profile, radialize
+from ringcap.solver import singleton_capacity_limit
 
 
 def record(num, ok, detail):

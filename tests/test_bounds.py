@@ -1,5 +1,7 @@
-"""Closed-form ring bounds, the pointwise potential, and singleton limits."""
+"""Closed-form ring bounds, the pointwise potential, singleton limits, and
+the input rules that every layer checks through bounds."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,13 +11,23 @@ from conftest import origin_node
 from oracles import chain_capacity, radial_ring_capacity
 from ringcap import (
     DiscreteSpace,
+    RadialProfile,
     build_euclidean_grid,
+    build_green,
+    dyadic_shell_energy,
     estimate_ring,
     field_from_values,
+    log_profile,
     lower_bound,
+    p_energy,
+    power_profile,
+    radialize,
     regime,
+    relative_capacity,
     riesz_potential,
+    ring_condenser,
     singleton_capacity_limit,
+    solve_condenser,
     upper_bound,
 )
 
@@ -293,3 +305,61 @@ def test_potential_rejects_a_coincident_node():
     fld = field_from_values(sp, np.array([1.0, 0.5, 0.5, 0.25, 0.0]))
     with pytest.raises(ValueError):
         riesz_potential(sp, fld, 1, 0, 0.35, 2.0)
+
+
+# ----------------------------------------------------------------------
+# input rules: every entry point rejects what the rules in bounds reject
+# ----------------------------------------------------------------------
+
+# Each entry point takes the checked arguments by keyword, their valid
+# values as defaults, on a coarse plane ``s`` around its node ``c``; the
+# radii are r = 0.2 and R = 0.6 wherever both appear.
+RULE_ENTRY_POINTS = {
+    "regime": lambda s, c, p=3.0: regime(p, 2.0),
+    "lower_bound": lambda s, c, r=0.2, R=0.6, p=3.0: lower_bound(r, R, p, 2.0, 1.0),
+    "estimate_ring": lambda s, c, r=0.2, R=0.6, p=3.0: estimate_ring(r, R, p, 2.0, 1.0),
+    "riesz_potential": lambda s, c, r=0.2, p=3.0: riesz_potential(
+        s, field_from_values(s, np.zeros(s.n_nodes)), c, c, r, p),
+    "RadialProfile": lambda s, c, r=0.2, R=0.6: RadialProfile(
+        "flat", r, R, np.zeros_like, np.zeros_like),
+    "power_profile": lambda s, c, r=0.2, R=0.6, p=1.5, q=2.0: power_profile(r, R, p, q),
+    "log_profile": lambda s, c, r=0.2, R=0.6: log_profile(r, R),
+    "p_energy": lambda s, c, p=3.0: p_energy(
+        s, radialize(s, c, log_profile(0.2, 0.6)), p),
+    "dyadic_shell_energy": lambda s, c, r=0.2, R=0.6, p=3.0: dyadic_shell_energy(
+        s, radialize(s, c, log_profile(0.2, 0.6)), c, r, R, p),
+    "ring_condenser": lambda s, c, r=0.2, R=0.6: ring_condenser(s, c, r, R),
+    "solve_condenser": lambda s, c, p=3.0, tol=1e-6: solve_condenser(
+        s, ring_condenser(s, c, 0.2, 0.6), p, tol=tol),
+    "relative_capacity": lambda s, c, r=0.2, R=0.6, p=3.0, tol=1e-6: relative_capacity(
+        s, c, r, R, p, tol=tol),
+    "build_green": lambda s, c, p=3.0, rho=0.2: build_green(
+        s, s.ball(c, 0.6), c, p, rho=rho),
+}
+# the boundary value of each rule, beside NaN and both infinities
+RULE_BOUNDARY = {"p": 1.0, "r": 0.0, "R": 0.2, "tol": 0.0, "rho": 0.0, "q": None}
+RULE_CASES = [
+    (entry, arg, value)
+    for entry, fn in RULE_ENTRY_POINTS.items()
+    for arg in inspect.signature(fn).parameters if arg not in ("s", "c")
+    for value in (math.nan, math.inf, -math.inf, RULE_BOUNDARY[arg])
+    if value is not None
+]
+
+
+@pytest.fixture(scope="module")
+def rule_plane():
+    sp = build_euclidean_grid(2, 0.65, 0.05)
+    return sp, origin_node(sp)
+
+
+@pytest.mark.parametrize("entry", RULE_ENTRY_POINTS)
+def test_rule_entry_points_accept_their_defaults(rule_plane, entry):
+    RULE_ENTRY_POINTS[entry](*rule_plane)
+
+
+@pytest.mark.parametrize("entry,arg,value", RULE_CASES)
+def test_rule_entry_points_reject_invalid_input(rule_plane, entry, arg, value):
+    # the message is the rule's own, not that of a later step that tripped
+    with pytest.raises(ValueError, match="must be finite"):
+        RULE_ENTRY_POINTS[entry](*rule_plane, **{arg: value})

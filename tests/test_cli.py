@@ -174,6 +174,12 @@ def assert_rejected(tmp_path, task, cfg_obj):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_an_unknown_task_is_a_config_error(tmp_path, capsys):
+    assert_rejected(tmp_path, "bogus", dim_cfg())
+    assert not (tmp_path / "out").exists()
+    assert "config error: unknown task 'bogus'" in capsys.readouterr().err
+
+
 def line_cfg(task, h=0.04):
     return {"space": {"kind": "euclidean_grid", "n": 1, "half_extent": 1.2,
                       "h": h},

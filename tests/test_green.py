@@ -126,6 +126,18 @@ def test_pole_plate_must_fit_in_domain(line_fine):
         build_green(line_fine, domain, far, 2.0)
 
 
+@pytest.mark.parametrize("bad", ["n", "-1"])
+def test_out_of_range_ids_are_rejected(line_fine, bad):
+    # a domain id of n raised IndexError, and one of -1 marked node n - 1
+    c = origin_node(line_fine)
+    domain = np.nonzero(line_fine.distances_from(c) < 1.0)[0]
+    bad = line_fine.n_nodes if bad == "n" else -1
+    with pytest.raises(ValueError, match="node ids"):
+        build_green(line_fine, np.append(domain, bad), c, 2.0)
+    with pytest.raises(ValueError, match="pole must lie in the domain"):
+        build_green(line_fine, domain, bad, 2.0)
+
+
 def test_line_trend_is_bounded():
     levels = []
     for h in (0.04, 0.02, 0.01):

@@ -1,0 +1,63 @@
+"""Import layering of the package modules, read from their source.
+
+The modules form one stack, spaces < dimension < bounds < profiles <
+solver < green < cli: each may import only modules below it, so no
+import cycle can arise and none has to be hidden inside a function.
+``__init__`` and ``__main__`` sit above the stack.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ringcap"
+ORDER = ["spaces", "dimension", "bounds", "profiles", "solver", "green", "cli"]
+RANK = dict({name: k for k, name in enumerate(ORDER)},
+            __init__=len(ORDER), __main__=len(ORDER))
+ROOT_NAMES = {"__version__"}  # what a module may take from the package root
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _imported_modules(tree):
+    """(line, module) of each import from this package; a name taken from
+    the package root counts as ``__init__`` unless it is in ROOT_NAMES."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # absolute
+            full = ([node.module] if isinstance(node, ast.ImportFrom)
+                    else [a.name for a in node.names])
+            names = [name.partition(".")[2] or "__init__" for name in full
+                     if name.split(".")[0] == "ringcap"]
+        else:
+            continue
+        for name in names:
+            name = name.split(".")[0]
+            if name not in ROOT_NAMES:
+                yield node.lineno, name if name in RANK else "__init__"
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(RANK)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_lower_layers(module):
+    bad = [(line, name) for line, name in _imported_modules(_tree(module))
+           if RANK[name] >= RANK[module]]
+    assert not bad, f"{module} imports from its own layer or above: {bad}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    inner = [node.lineno
+             for fn in ast.walk(_tree(module))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inner, f"{module} imports inside a function at lines {inner}"
