@@ -3,12 +3,12 @@
 The package assembles one pipeline:
 
 ``spaces``     build discrete metric measure spaces (grids, gauge lattice,
-               cone, glued balls) and verify metric axioms;
+               cone, glued balls), verify metric axioms, and define the
+               input rules that every layer checks;
 ``dimension``  estimate doubling constants and pointwise dimensions from
                ball masses;
 ``bounds``     closed-form lower/upper capacity bounds for rings, split by
-               the regime of the exponent against the dimension, and the
-               input rules (exponent, radii, tolerance) of the layers above;
+               the regime of the exponent against the dimension;
 ``profiles``   radial test potentials and their discrete p-energies;
 ``solver``     convex minimization of the discrete p-energy under condenser
                constraints (the capacity itself);

@@ -13,8 +13,9 @@ Each envelope is a scale statement: it pins the exponents of r, R and the
 ball mass but holds only up to a multiplicative structure constant, which
 is normalized to 1 here.  All remaining factors are written out exactly,
 so values are reproducible numbers rather than order estimates.  A
-pointwise Riesz-type potential of the gradient and the NaN-safe input
-rules of the layers above complete the module.
+pointwise Riesz-type potential of the gradient completes the module.
+``regime``, both envelopes, ``estimate_ring`` and ``riesz_potential``
+check p, r and R by the NaN-safe input rules defined in ``spaces``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .spaces import _check_exponent, _check_positive, _check_radii
 
 __all__ = [
     "regime",
@@ -33,22 +36,6 @@ __all__ = [
 ]
 
 REGIME_TOL = 1e-9
-
-
-# ``not lo < x < hi`` rejects NaN, which fails every comparison
-def _check_exponent(p):
-    if not 1 < p < np.inf:
-        raise ValueError("exponent p must be finite and exceed 1")
-
-
-def _check_radii(r, R):
-    if not 0 < r < R < np.inf:
-        raise ValueError("radii must be finite with 0 < r < R")
-
-
-def _check_positive(value, name):
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive")
 
 
 def regime(p, q_center) -> str:
@@ -169,8 +156,9 @@ def riesz_potential(space, field, node, center, r, p) -> float:
     """
     _check_exponent(p)
     _check_positive(r, "ball radius r")
-    node, center = int(node), int(center)
     d_center = space.distances_from(center)
+    dx = space.distances_from(node)  # checks the id before it indexes a row
+    node = int(node)
     if d_center[node] >= r:
         raise ValueError("evaluation node must lie in the open ball")
     support = np.abs(field.u) > 1e-12
@@ -180,7 +168,6 @@ def riesz_potential(space, field, node, center, r, p) -> float:
     ball = ball[ball != node]
     if ball.size == 0:
         return 0.0
-    dx = space.distances_from(node)
     ball_mass_at = space.ball_masses(node, dx[ball])
     if np.any(ball_mass_at <= 0):
         raise ValueError("zero-mass ball encountered in the potential sum")

@@ -11,7 +11,8 @@ Everything here reduces to counting measure in metric balls:
 * Ahlfors regularity ratios ``mu(B(x, r)) / r^q``.
 
 Radii below five grid steps are rejected: a ball that small holds a
-handful of nodes and its mass carries no geometric information.
+handful of nodes and its mass carries no geometric information.  NaN
+inputs are rejected like any other invalid value.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .spaces import _check_positive
 
 __all__ = [
     "PowerLawFit",
@@ -59,8 +62,7 @@ def fit_power_law(x, y) -> PowerLawFit:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least two points to fit a power law")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("power-law fit requires positive data")
+    _check_positive(np.array([x, y]), "power-law data")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = np.exp(slope * lx + intercept - ly)
@@ -82,8 +84,8 @@ def doubling_constant(space, sample_nodes, r_max) -> float:
     if sample_nodes.size == 0:
         raise ValueError("sample node set must be nonempty")
     floor = _radius_floor(space)
-    if r_max < 2.0 * floor:
-        raise ValueError(f"r_max must be at least 10 grid steps ({2 * floor:g})")
+    if not 2.0 * floor <= r_max < np.inf:
+        raise ValueError(f"r_max must be finite and at least 10 grid steps ({2 * floor:g})")
     radii = np.geomspace(floor, r_max / 2.0, 12)
     best = 0.0
     for x in sample_nodes:
@@ -100,8 +102,8 @@ def local_dimension(c_doubling) -> float:
     A measure with doubling constant C has mass growth exponent at most
     log2(C); C = 1 degenerates to dimension 0.
     """
-    if c_doubling < 1:
-        raise ValueError("doubling constant must be at least 1")
+    if not 1 <= c_doubling < np.inf:
+        raise ValueError("doubling constant must be finite and at least 1")
     return float(np.log2(c_doubling))
 
 
@@ -115,13 +117,14 @@ def pointwise_dimension(space, node, radii) -> PowerLawFit:
     radii = np.asarray(radii, dtype=float)
     if radii.size < 4:
         raise ValueError("need at least four radii")
+    _check_positive(radii, "radii")
     if np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be strictly increasing")
     if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):
         raise ValueError("radii must span at least one decade")
     if radii[0] < _radius_floor(space) * (1.0 - 1e-12):
         raise ValueError("radii below five grid steps are unreliable")
-    masses = space.ball_masses(int(node), radii)
+    masses = space.ball_masses(node, radii)
     if np.any(masses <= 0):
         raise ValueError("empty or massless ball in the radius sweep")
     return fit_power_law(radii, masses)
@@ -154,13 +157,13 @@ def check_volume_bounds(space, node, r_ref, q_local, q_point,
     deviates from a power law (for example mass clamped to zero on an
     annulus) fails.
     """
-    node = int(node)
-    if r_ref <= 0:
-        raise ValueError("reference radius must be positive")
+    _check_positive(r_ref, "reference radius")
+    if not np.all(np.isfinite([q_local, q_point])):
+        raise ValueError("dimension exponents must be finite")
     if radii is None:
         radii = np.geomspace(_radius_floor(space), r_ref, 10)
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0) or np.any(radii > r_ref * (1 + 1e-12)):
+    if not np.all((radii > 0) & (radii <= r_ref * (1 + 1e-12))):
         raise ValueError("radii must lie in (0, r_ref]")
     ref_mass = space.ball_mass(node, r_ref)
     if ref_mass <= 0:
@@ -201,8 +204,9 @@ def ahlfors_regularity(space, q, sample_nodes, radii) -> AhlforsReport:
     radii = np.asarray(radii, dtype=float)
     if sample_nodes.size == 0 or radii.size == 0:
         raise ValueError("need nonempty samples and radii")
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
+    _check_positive(radii, "radii")
+    if not np.isfinite(q):
+        raise ValueError("dimension exponent q must be finite")
     lo, hi = np.inf, 0.0
     for x in sample_nodes:
         masses = space.ball_masses(int(x), radii)
@@ -240,9 +244,8 @@ def analyze_dimension(space, sample_nodes, r_max, point_nodes=None,
     if point_nodes is None:
         point_nodes = sample_nodes[:3]
     point_nodes = np.atleast_1d(np.asarray(point_nodes, dtype=np.int64))
-    floor = _radius_floor(space)
-    if r_max < 10.0 * floor:
-        raise ValueError("r_max must be at least 50 grid steps for a decade span")
+    if not 10.0 * _radius_floor(space) <= r_max < np.inf:
+        raise ValueError("r_max must be finite and at least 50 grid steps for a decade span")
     c = doubling_constant(space, sample_nodes, r_max)
     q_local = local_dimension(c)
     radii = np.geomspace(r_max / 10.0, r_max, n_radii)

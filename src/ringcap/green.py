@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_exponent, _check_positive, regime
+from .bounds import regime
 from .dimension import fit_power_law
-from .solver import CapacityResult, Condenser, _check_node_ids, solve_condenser
-from .spaces import _edge_components
+from .solver import CapacityResult, Condenser, solve_condenser
+from .spaces import _check_exponent, _check_positive, _edge_components
 
 __all__ = [
     "SingularFunction",
@@ -64,28 +64,20 @@ def build_green(space, domain, center, p, rho=None, tol=1e-6) -> SingularFunctio
     every resolution so the normalizing capacity stays stable.
     """
     _check_exponent(p)
-    domain = np.asarray(domain, dtype=np.int64)
-    center = int(center)
     if rho is None:
         rho = 3.0 * space.resolution
     _check_positive(rho, "pole radius")
-    n = space.n_nodes
-    _check_node_ids(domain, n)
-    in_domain = np.zeros(n, dtype=bool)
-    in_domain[domain] = True
-    if not (0 <= center < n and in_domain[center]):
-        raise ValueError("pole must lie in the domain")
     plate = space.closed_ball(center, rho)
-    if not in_domain[plate].all():
-        raise ValueError("pole ball spills out of the domain; shrink rho")
-    if plate.size == domain.size:
-        raise ValueError("pole ball fills the domain; shrink rho")
-    res = solve_condenser(space, Condenser(plate, domain), p, tol=tol)
+    # the solve checks the condenser; the pole lies in its plate, so a plate
+    # inside the domain puts the pole there too
+    cond = Condenser(plate, domain)
+    res = solve_condenser(space, cond, p, tol=tol)
     cap = res.value
     if cap <= 0:
         raise ValueError("condenser capacity vanished; domain has no boundary")
     values = cap ** (1.0 / (1.0 - p)) * res.u
-    return SingularFunction(values, center, float(p), float(rho), cap, domain, res, plate)
+    return SingularFunction(values, int(center), float(p), float(rho), cap, cond.domain,
+                            res, plate)
 
 
 @dataclass

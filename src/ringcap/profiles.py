@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _check_exponent, _check_radii
+from .spaces import _check_exponent, _check_radii
 
 __all__ = [
     "RadialProfile",
@@ -141,7 +141,7 @@ def field_from_values(space, u) -> PotentialField:
 
 def radialize(space, center, profile) -> PotentialField:
     """Compose a radial profile with the distance from a center node."""
-    return field_from_values(space, profile(space.distances_from(int(center))))
+    return field_from_values(space, profile(space.distances_from(center)))
 
 
 @dataclass
@@ -192,7 +192,7 @@ def dyadic_shell_energy(space, field, center, r, R, p) -> ShellEnergies:
         k0 += 1
     while 2.0**k0 * r > R:
         k0 -= 1
-    d = space.distances_from(int(center))
+    d = space.distances_from(center)
     ring = (d > r) & (d < R)
     contrib = space.mass * field.lip**p
     shell_of = np.floor(np.log2(np.where(ring, d, r) / r)).astype(int)

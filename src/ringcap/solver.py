@@ -77,10 +77,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .bounds import (_check_exponent, _check_positive, _check_radii, lower_bound,
-                     regime, upper_bound)
+from .bounds import lower_bound, regime, upper_bound
 from .dimension import _radius_floor
 from .profiles import log_profile, p_energy, power_profile, radialize
+from .spaces import _check_exponent, _check_node_ids, _check_positive, _check_radii
 
 __all__ = [
     "Condenser",
@@ -117,15 +117,10 @@ class Condenser:
         self.domain = np.asarray(self.domain, dtype=np.int64)
 
 
-def _check_node_ids(ids, n):
-    if ids.size and not (0 <= ids.min() and ids.max() < n):
-        raise ValueError(f"condenser node ids must lie in [0, {n})")
-
-
 def ring_condenser(space, center, r, R) -> Condenser:
     """Condenser of the ring: closed inner ball against the open outer ball."""
     _check_radii(r, R)
-    d = space.distances_from(int(center))
+    d = space.distances_from(center)
     inner = np.nonzero(d <= r)[0]  # holds the center, as r > 0
     domain = np.nonzero(d < R)[0]
     if inner.size == domain.size:
@@ -469,11 +464,11 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
                 levels, coarsest = _hierarchy(lap, cells)
             else:
                 coarsest = _refill(levels, lap)
-            precond = LinearOperator((nf, nf),
+            precond = LinearOperator((nf, nf), dtype=float,
                                      matvec=lambda v: _vcycle(levels, coarsest, v))
         else:
             inv_diag = 1.0 / np.maximum(lap.diagonal(), 1e-300)
-            precond = LinearOperator((nf, nf), matvec=lambda v: inv_diag * v)
+            precond = LinearOperator((nf, nf), dtype=float, matvec=lambda v: inv_diag * v)
         delta, _ = cg(lap, rhs - lap @ x, rtol=eta, atol=atol, maxiter=maxiter,
                       M=precond, callback=count_cg)
 
@@ -627,7 +622,7 @@ def verify_sandwich(space, center, r, R, p, q_center, q_local=None,
         prof = power_profile(r, R, p, q_center)
     fld = radialize(space, center, prof)
     e = p_energy(space, fld, p).edge
-    mass_inner = space.ball_mass(int(center), r)
+    mass_inner = space.ball_mass(center, r)
     lo = lower_bound(r, R, p, q_center, mass_inner)
     hi = upper_bound(r, R, p, q_center, mass_inner, q_local)
     admissible_ok = res.value <= e * (1.0 + 10.0 * tol) + 10.0 * tol

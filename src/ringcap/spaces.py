@@ -25,6 +25,9 @@ arrays in place at final size, and the whole-space evaluations (distance
 rows, the edge-length check of a new space, the binning of ball masses)
 run over blocks of ``_EVAL_BLOCK`` rows, each block by the same formula as
 one pass, so every value is bit-identical to an unblocked evaluation.
+
+The package's NaN-safe input rules are defined here, at the bottom of the
+import order, once each for every layer to call.
 """
 
 from __future__ import annotations
@@ -59,6 +62,32 @@ _SUM_BLOCK = 1024
 # check, the binning of ball masses, the weights of a weighted grid), so its
 # temporaries take a few MB however large the space
 _EVAL_BLOCK = 1 << 16
+
+
+# ``not lo < x < hi`` rejects NaN, which fails every comparison
+def _check_exponent(p):
+    if not 1 < p < np.inf:
+        raise ValueError("exponent p must be finite and exceed 1")
+
+
+def _check_radii(r, R):
+    if not 0 < r < R < np.inf:
+        raise ValueError("radii must be finite with 0 < r < R")
+
+
+def _check_positive(value, name):  # a number or an array of them
+    if not np.all((0 < value) & (value < np.inf)):
+        raise ValueError(f"{name} must be finite and positive")
+
+
+def _check_node_ids(ids, n):  # an id, or an array of them
+    lo = hi = ids  # a single id takes no array, so a cached row costs nothing
+    if isinstance(ids, np.ndarray):
+        if ids.size == 0:
+            return
+        lo, hi = ids.min(), ids.max()
+    if not 0 <= lo <= hi < n:
+        raise ValueError(f"node ids out of range [0, {n})")
 
 
 class DiscreteSpace:
@@ -98,21 +127,17 @@ class DiscreteSpace:
             raise ValueError("mass must have one entry per node")
         if not np.all(np.isfinite(mass)) or np.any(mass < 0):
             raise ValueError("node masses must be finite and nonnegative")
-        if mass.sum() <= 0:
-            raise ValueError("total mass must be positive")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise ValueError("edge endpoint out of range")
+        _check_positive(mass.sum(), "total mass")
+        _check_node_ids(edges, n)
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
         if edge_lengths.shape != (edges.shape[0],):
             raise ValueError("edge_lengths must have one entry per edge")
-        if not (np.all(edge_lengths > 0) and np.all(np.isfinite(edge_lengths))):
-            raise ValueError("edge lengths must be positive and finite")
+        _check_positive(edge_lengths, "edge lengths")
         if metric not in ("euclidean", "koranyi", "path"):
             raise ValueError(f"unknown metric kind {metric!r}")
         resolution = float(resolution)
-        if not (np.isfinite(resolution) and resolution > 0):
-            raise ValueError("resolution must be a positive finite number")
+        _check_positive(resolution, "resolution")
         self.coords = coords
         self.mass = mass
         self.edges = edges
@@ -177,9 +202,8 @@ class DiscreteSpace:
         first.  The row is shared with every other caller: writing into it
         raises ``ValueError``; copy it to modify it.
         """
+        _check_node_ids(center, self.n_nodes)
         center = int(center)
-        if not 0 <= center < self.n_nodes:
-            raise ValueError("node id out of range")
         if self._row is not None and self._row[0] == center:
             return self._row[1]
         self._row = None  # free the old row before the new one is built
@@ -192,9 +216,9 @@ class DiscreteSpace:
         return row
 
     def distance(self, i: int, j: int) -> float:
+        _check_node_ids(i, self.n_nodes)
+        _check_node_ids(j, self.n_nodes)
         i, j = int(i), int(j)
-        if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-            raise ValueError("node id out of range")
         if self.metric == "path":
             return float(self.distances_from(i)[j])
         return float(self._formula(self.coords[i], self.coords[j]))
@@ -222,13 +246,13 @@ class DiscreteSpace:
 
     def ball(self, center: int, r: float) -> np.ndarray:
         """Open metric ball: ids of nodes with d(center, node) < r."""
-        if r < 0:
+        if not r >= 0:  # NaN-safe; r = inf is the whole reachable space
             raise ValueError("radius must be nonnegative")
         return np.nonzero(self.distances_from(center) < r)[0]
 
     def closed_ball(self, center: int, r: float) -> np.ndarray:
         """Closed metric ball: ids of nodes with d(center, node) <= r."""
-        if r < 0:
+        if not r >= 0:
             raise ValueError("radius must be nonnegative")
         return np.nonzero(self.distances_from(center) <= r)[0]
 
@@ -363,6 +387,11 @@ def _euclidean_distance(a, b) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _check_extent(extent, step, name="half_extent"):
+    if not step <= extent < np.inf:
+        raise ValueError(f"{name} must be finite and at least one step")
+
+
 def _axis_cell_widths(count: int, step: float) -> np.ndarray:
     """Cell widths along one axis; extreme cells are cut in half so the
     cells tile exactly the declared extent."""
@@ -447,12 +476,10 @@ def build_euclidean_grid(n, half_extent, h, alpha=0.0):
     n = int(n)
     if n not in (1, 2, 3, 4):
         raise ValueError("dimension n must be in {1, 2, 3, 4}")
-    if h <= 0:
-        raise ValueError("grid step h must be positive")
-    if half_extent < h:
-        raise ValueError("half_extent must be at least one grid step")
-    if alpha <= -n:
-        raise ValueError(f"alpha must exceed -n = {-n} for an integrable weight")
+    _check_positive(h, "grid step h")
+    _check_extent(half_extent, h)
+    if not -n < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and exceed -n = {-n} for an integrable weight")
     m = int(round(half_extent / h))
     axis = h * np.arange(-m, m + 1)
     count = axis.size
@@ -556,19 +583,16 @@ def build_heisenberg_grid(half_extent, h, t_half_extent=None, t_step=None,
         Set False for measure-only grids (dimension estimation) to skip
         edge construction.
     """
-    if h <= 0:
-        raise ValueError("grid step h must be positive")
-    if h >= half_extent:
-        raise ValueError("h must be smaller than half_extent")
+    _check_positive(h, "grid step h")
+    if not h < half_extent < np.inf:
+        raise ValueError("half_extent must be finite and exceed h")
     default_step = 0.5 * h * h
     if t_step is None:
         t_step = default_step
-    if t_step <= 0:
-        raise ValueError("t_step must be positive")
+    _check_positive(t_step, "t_step")
     if t_half_extent is None:
         t_half_extent = half_extent * half_extent
-    if t_half_extent < t_step:
-        raise ValueError("t_half_extent must be at least one vertical step")
+    _check_extent(t_half_extent, t_step, "t_half_extent")
 
     m = int(round(half_extent / h))
     mk = int(round(t_half_extent / t_step))
@@ -597,10 +621,8 @@ def build_double_cone(n, half_extent, h):
     n = int(n)
     if n < 2 or n > 4:
         raise ValueError("double cone requires 2 <= n <= 4")
-    if h <= 0:
-        raise ValueError("grid step h must be positive")
-    if half_extent < h:
-        raise ValueError("half_extent must be at least one grid step")
+    _check_positive(h, "grid step h")
+    _check_extent(half_extent, h)
     m = int(round(half_extent / h))
     axis = h * np.arange(-m, m + 1)
     c = _product_coords([axis] * n)
@@ -628,10 +650,9 @@ def build_glued_balls(n, h, segment_length):
     if n < 2 or n > 4:
         raise ValueError("glued balls require 2 <= n <= 4 (n >= 3 matches the "
                          "continuum construction; n = 2 is allowed for tests)")
-    if h <= 0 or h > 0.5:
-        raise ValueError("grid step must satisfy 0 < h <= 0.5")
-    if segment_length < h:
-        raise ValueError("segment_length must be at least one grid step")
+    if not 0 < h <= 0.5:
+        raise ValueError("grid step h must be finite with 0 < h <= 0.5")
+    _check_extent(segment_length, h, "segment_length")
     k = int(round(1.0 / h))
     h = 1.0 / k
     L = float(segment_length)

@@ -1,5 +1,5 @@
 """Closed-form ring bounds, the pointwise potential, singleton limits, and
-the input rules that every layer checks through bounds."""
+the input rules of spaces that every layer checks."""
 
 import inspect
 import math
@@ -12,14 +12,24 @@ from oracles import chain_capacity, radial_ring_capacity
 from ringcap import (
     DiscreteSpace,
     RadialProfile,
+    ahlfors_regularity,
+    analyze_dimension,
+    build_double_cone,
     build_euclidean_grid,
+    build_glued_balls,
     build_green,
+    build_heisenberg_grid,
+    check_volume_bounds,
+    doubling_constant,
     dyadic_shell_energy,
     estimate_ring,
     field_from_values,
+    fit_power_law,
+    local_dimension,
     log_profile,
     lower_bound,
     p_energy,
+    pointwise_dimension,
     power_profile,
     radialize,
     regime,
@@ -308,12 +318,12 @@ def test_potential_rejects_a_coincident_node():
 
 
 # ----------------------------------------------------------------------
-# input rules: every entry point rejects what the rules in bounds reject
+# input rules: every entry point rejects what the rules in spaces reject
 # ----------------------------------------------------------------------
 
 # Each entry point takes the checked arguments by keyword, their valid
-# values as defaults, on a coarse plane ``s`` around its node ``c``; the
-# radii are r = 0.2 and R = 0.6 wherever both appear.
+# values as defaults, on a coarse plane ``s`` (h = 0.05) around its node
+# ``c``; the radii are r = 0.2 and R = 0.6 wherever both appear.
 RULE_ENTRY_POINTS = {
     "regime": lambda s, c, p=3.0: regime(p, 2.0),
     "lower_bound": lambda s, c, r=0.2, R=0.6, p=3.0: lower_bound(r, R, p, 2.0, 1.0),
@@ -335,15 +345,53 @@ RULE_ENTRY_POINTS = {
         s, c, r, R, p, tol=tol),
     "build_green": lambda s, c, p=3.0, rho=0.2: build_green(
         s, s.ball(c, 0.6), c, p, rho=rho),
+    "ball": lambda s, c, radius=0.2: s.ball(c, radius),
+    "closed_ball": lambda s, c, radius=0.2: s.closed_ball(c, radius),
+    "ball_mass": lambda s, c, radius=0.2: s.ball_mass(c, radius),
+    "distances_from": lambda s, c, node=0: s.distances_from(node),
+    "distance": lambda s, c, i=0, j=1: s.distance(i, j),
+    "build_euclidean_grid": lambda s, c, h=0.1, half_extent=0.2: build_euclidean_grid(
+        1, half_extent, h),
+    "build_heisenberg_grid": lambda s, c, h=0.1, half_extent=0.2, t_step=0.005,
+                                   t_half_extent=0.04: build_heisenberg_grid(
+        half_extent, h, t_half_extent, t_step),
+    "build_double_cone": lambda s, c, h=0.1, half_extent=0.2: build_double_cone(
+        2, half_extent, h),
+    "build_glued_balls": lambda s, c, h=0.5, segment_length=1.0: build_glued_balls(
+        2, h, segment_length),
+    "doubling_constant": lambda s, c, r_max=0.5: doubling_constant(s, [c], r_max),
+    "local_dimension": lambda s, c, c_doubling=2.0: local_dimension(c_doubling),
+    "pointwise_dimension": lambda s, c, r_min=0.25: pointwise_dimension(
+        s, c, [r_min, 0.5, 1.0, 2.5]),
+    "check_volume_bounds": lambda s, c, r_ref=0.5, q_local=2.0, q_point=2.0: (
+        check_volume_bounds(s, c, r_ref, q_local, q_point)),
+    "ahlfors_regularity": lambda s, c, q=2.0, r_min=0.25: ahlfors_regularity(
+        s, q, [c], [r_min, 0.5]),
+    "analyze_dimension": lambda s, c, r_max=2.5: analyze_dimension(s, [c], r_max),
+    "fit_power_law": lambda s, c, x=2.0, y=2.0: fit_power_law([1.0, x], [1.0, y]),
 }
-# the boundary value of each rule, beside NaN and both infinities
-RULE_BOUNDARY = {"p": 1.0, "r": 0.0, "R": 0.2, "tol": 0.0, "rho": 0.0, "q": None}
+# the invalid value at the boundary of each rule, beside NaN and both
+# infinities (None: no boundary); an entry whose bound differs names its own
+RULE_BOUNDARY = {"p": 1.0, "r": 0.0, "R": 0.2, "tol": 0.0, "rho": 0.0, "q": None,
+                 "radius": -5e-324, "node": -1, "i": -1, "j": -1, "h": 0.0,
+                 "half_extent": math.nextafter(0.1, 0.0), "t_step": 0.0,
+                 "t_half_extent": math.nextafter(0.005, 0.0),
+                 "segment_length": math.nextafter(0.5, 0.0),
+                 "r_max": math.nextafter(0.5, 0.0), "c_doubling": math.nextafter(1.0, 0.0),
+                 "r_min": 0.0, "r_ref": 0.0, "q_local": None, "q_point": None,
+                 "x": 0.0, "y": 0.0}
+ENTRY_BOUNDARY = {("build_heisenberg_grid", "half_extent"): 0.1,
+                  ("analyze_dimension", "r_max"): math.nextafter(2.5, 0.0)}
+VALID_INF = {"radius"}  # a ball of infinite radius is the reachable space
+RULE_MESSAGE = {"radius": "radius must be nonnegative", "node": "node ids out of range",
+                "i": "node ids out of range", "j": "node ids out of range"}
 RULE_CASES = [
     (entry, arg, value)
     for entry, fn in RULE_ENTRY_POINTS.items()
     for arg in inspect.signature(fn).parameters if arg not in ("s", "c")
-    for value in (math.nan, math.inf, -math.inf, RULE_BOUNDARY[arg])
-    if value is not None
+    for value in (math.nan, math.inf, -math.inf,
+                  ENTRY_BOUNDARY.get((entry, arg), RULE_BOUNDARY[arg]))
+    if value is not None and not (value == math.inf and arg in VALID_INF)
 ]
 
 
@@ -361,5 +409,13 @@ def test_rule_entry_points_accept_their_defaults(rule_plane, entry):
 @pytest.mark.parametrize("entry,arg,value", RULE_CASES)
 def test_rule_entry_points_reject_invalid_input(rule_plane, entry, arg, value):
     # the message is the rule's own, not that of a later step that tripped
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=RULE_MESSAGE.get(arg, "must be finite")):
         RULE_ENTRY_POINTS[entry](*rule_plane, **{arg: value})
+
+
+def test_ball_queries_take_an_infinite_radius(rule_plane):
+    s, c = rule_plane
+    everything = np.arange(s.n_nodes)
+    assert np.array_equal(s.ball(c, math.inf), everything)
+    assert np.array_equal(s.closed_ball(c, math.inf), everything)
+    assert s.ball_mass(c, math.inf) == pytest.approx(s.total_mass, rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from conftest import origin_node
 from oracles import chain_capacity
 from ringcap import (
+    Condenser,
     DiscreteSpace,
     blowup_trend,
     build_euclidean_grid,
@@ -134,8 +135,22 @@ def test_out_of_range_ids_are_rejected(line_fine, bad):
     bad = line_fine.n_nodes if bad == "n" else -1
     with pytest.raises(ValueError, match="node ids"):
         build_green(line_fine, np.append(domain, bad), c, 2.0)
-    with pytest.raises(ValueError, match="pole must lie in the domain"):
+    with pytest.raises(ValueError, match="node ids out of range"):
         build_green(line_fine, domain, bad, 2.0)
+
+
+@pytest.mark.parametrize("case", ["spills", "fills"])
+def test_green_rejects_a_bad_plate_as_its_solve_does(line_fine, case):
+    # the condenser is checked once, by the solve; a plate that spills out
+    # of the domain also covers a pole outside it
+    c = origin_node(line_fine)
+    plate = line_fine.closed_ball(c, 0.1)
+    domain = line_fine.ball(c, 0.05) if case == "spills" else plate
+    with pytest.raises(ValueError) as green_error:
+        build_green(line_fine, domain, c, 2.0, rho=0.1)
+    with pytest.raises(ValueError) as solve_error:
+        solve_condenser(line_fine, Condenser(plate, domain), 2.0)
+    assert str(green_error.value) == str(solve_error.value)
 
 
 def test_line_trend_is_bounded():

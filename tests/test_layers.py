@@ -3,7 +3,8 @@
 The modules form one stack, spaces < dimension < bounds < profiles <
 solver < green < cli: each may import only modules below it, so no
 import cycle can arise and none has to be hidden inside a function.
-``__init__`` and ``__main__`` sit above the stack.
+``__init__`` and ``__main__`` sit above the stack.  The input rules sit at
+its bottom, in ``spaces``, each defined once for every layer to call.
 """
 
 import ast
@@ -17,6 +18,7 @@ RANK = dict({name: k for k, name in enumerate(ORDER)},
             __init__=len(ORDER), __main__=len(ORDER))
 ROOT_NAMES = {"__version__"}  # what a module may take from the package root
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+RULES = ["_check_exponent", "_check_radii", "_check_positive", "_check_node_ids"]
 
 
 def _tree(module):
@@ -61,3 +63,10 @@ def test_no_import_inside_a_function(module):
              for node in ast.walk(fn)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not inner, f"{module} imports inside a function at lines {inner}"
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_each_input_rule_has_one_owner(rule):
+    owners = [module for module in MODULES for node in ast.walk(_tree(module))
+              if isinstance(node, ast.FunctionDef) and node.name == rule]
+    assert owners == ["spaces"]
