@@ -29,6 +29,7 @@ from .green import blowup_trend, build_green, check_level_sets
 from .profiles import dyadic_shell_energy, log_profile, p_energy, power_profile, radialize
 from .solver import relative_capacity, singleton_capacity_limit, verify_sandwich
 from .spaces import (
+    _FMT,
     build_double_cone,
     build_euclidean_grid,
     build_glued_balls,
@@ -36,7 +37,6 @@ from .spaces import (
     load_space,
 )
 
-_FMT = "%.17g"
 CSV_BLOCK = 1 << 12  # rows that _write_csv formats and writes at a time
 
 

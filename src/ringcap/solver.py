@@ -80,7 +80,13 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 from .bounds import lower_bound, regime, upper_bound
 from .dimension import _radius_floor
 from .profiles import log_profile, p_energy, power_profile, radialize
-from .spaces import _check_exponent, _check_node_ids, _check_positive, _check_radii
+from .spaces import (
+    _check_exponent,
+    _check_finite,
+    _check_node_ids,
+    _check_positive,
+    _check_radii,
+)
 
 __all__ = [
     "Condenser",
@@ -327,8 +333,7 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (n,):
             raise ValueError(f"initial guess must have shape ({n},)")
-        if not np.isfinite(x0).all():
-            raise ValueError("initial guess must be finite")
+        _check_finite(x0, "initial guess")
 
     # Reachability: a free component must see both a 1-node and a 0-node
     # through positive conductances to pose a well-defined Dirichlet

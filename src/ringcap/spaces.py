@@ -16,9 +16,10 @@ time: by one closed-form function per metric (Euclidean, gauge), picked
 once per space and used by every query, or by Dijkstra over the edge graph
 for glued spaces.  Every space keeps the row of its latest query and hands
 it out read-only, so the calls that re-query one centre share a row;
-:func:`verify_metric` asks for its rows like any other caller.  Ball
-masses for any set of radii come from one pass over a row, without sorting
-it (:meth:`DiscreteSpace.ball_masses`).
+:func:`verify_metric` asks for its rows like any other caller, and
+:meth:`DiscreteSpace.nearest_node` at a node of a closed-form space keeps
+the row it measured.  Ball masses for any set of radii come from one pass
+over a row, without sorting it (:meth:`DiscreteSpace.ball_masses`).
 
 Memory stays near the bytes of the space: the grid builders write their
 arrays in place at final size, and the whole-space evaluations (distance
@@ -80,6 +81,11 @@ def _check_positive(value, name):  # a number or an array of them
         raise ValueError(f"{name} must be finite and positive")
 
 
+def _check_finite(values, name):  # an array, or anything np.isfinite takes
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _check_node_ids(ids, n):  # an id, or an array of them
     lo = hi = ids  # a single id takes no array, so a cached row costs nothing
     if isinstance(ids, np.ndarray):
@@ -121,8 +127,7 @@ class DiscreteSpace:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         edge_lengths = np.asarray(edge_lengths, dtype=float)
         n = coords.shape[0]
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("node coordinates must be finite")
+        _check_finite(coords, "node coordinates")
         if mass.shape != (n,):
             raise ValueError("mass must have one entry per node")
         if not np.all(np.isfinite(mass)) or np.any(mass < 0):
@@ -300,12 +305,20 @@ class DiscreteSpace:
         """Id of the node nearest to a coordinate point.
 
         Uses the space's own metric for gauge spaces and the Euclidean
-        coordinate distance otherwise.
+        coordinate distance otherwise.  A point that is a node of a
+        closed-form space gets that node's distance row on the way, so the
+        space keeps it as its latest row.
         """
         point = np.asarray(point, dtype=float)
         if point.shape != (self.coords.shape[1],):
             raise ValueError("point dimension mismatch")
-        return int(np.argmin(self._formula(point, self.coords)))
+        row = self._formula(point, self.coords)
+        node = int(np.argmin(row))
+        # at equal coordinates this is distances_from(node)'s row, bit for bit
+        if self.metric != "path" and np.array_equal(point, self.coords[node]):
+            row.flags.writeable = False
+            self._row = (node, row)
+        return node
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ RANK = dict({name: k for k, name in enumerate(ORDER)},
             __init__=len(ORDER), __main__=len(ORDER))
 ROOT_NAMES = {"__version__"}  # what a module may take from the package root
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
-RULES = ["_check_exponent", "_check_radii", "_check_positive", "_check_node_ids"]
+RULES = ["_check_exponent", "_check_radii", "_check_positive", "_check_finite",
+         "_check_node_ids"]
 
 
 def _tree(module):

@@ -1,6 +1,7 @@
 """Radial profiles, discrete energies, and shell decompositions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import origin_node
 from oracles import radial_profile_energy
 from ringcap import (
+    PotentialField,
     build_euclidean_grid,
     dyadic_shell_energy,
     field_from_values,
@@ -22,6 +24,13 @@ from ringcap import (
 def ring_grid():
     """Plane grid wide enough for the unit-to-double ring."""
     return build_euclidean_grid(2, 2.1, 0.025)
+
+
+@pytest.fixture(scope="module")
+def weighted_plane():
+    """Weighted plane (alpha = 1) around the ring 0.1 < d < 1, with edge
+    arrays above numpy's 256 KiB threshold for reusing temporaries."""
+    return build_euclidean_grid(2, 1.2, 0.01, alpha=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +117,100 @@ def test_energy_validation(grid2):
     fld = field_from_values(grid2, np.zeros(grid2.n_nodes))
     with pytest.raises(ValueError):
         p_energy(grid2, fld, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_from_values_rejects_non_finite_values(grid2, bad):
+    # a NaN gave energies of NaN after RuntimeWarnings, an infinity inf
+    u = np.zeros(grid2.n_nodes)
+    u[grid2.n_nodes // 2] = bad
+    with pytest.raises(ValueError, match="u must be finite"):
+        field_from_values(grid2, u)
+
+
+# ----------------------------------------------------------------------
+# the kernels against the plain formulas
+# ----------------------------------------------------------------------
+
+def _plain_energy(space, fld, p):
+    return (float((space.edge_masses() * fld.g_edge**p).sum()),
+            float((space.mass * fld.lip**p).sum()))
+
+
+def _plain_shells(space, fld, c, r, R, p, k0):
+    """Whole-space binning by one add per ring node."""
+    d = space.distances_from(c)
+    ring = (d > r) & (d < R)
+    contrib = space.mass * fld.lip**p
+    shell_of = np.clip(np.floor(np.log2(np.where(ring, d, r) / r)).astype(int), 0, k0)
+    counts = np.zeros(k0 + 1, dtype=np.int64)
+    energies = np.zeros(k0 + 1)
+    np.add.at(counts, shell_of[ring], 1)
+    np.add.at(energies, shell_of[ring], contrib[ring])
+    return counts, energies
+
+
+def _assert_kernels_match_the_formulas(space, fld, c, r, R, p):
+    split = p_energy(space, fld, p)
+    edge, node = _plain_energy(space, fld, p)
+    assert np.array_equal([split.edge, split.node], [edge, node], equal_nan=True)
+    sh = dyadic_shell_energy(space, fld, c, r, R, p)
+    counts, energies = _plain_shells(space, fld, c, r, R, p, sh.k0)
+    assert sh.counts.dtype == counts.dtype and np.array_equal(sh.counts, counts)
+    assert np.array_equal(sh.energies, energies, equal_nan=True)
+
+
+def _ring_profile(r, R, p):
+    return log_profile(r, R) if p == 3.0 else power_profile(r, R, p, 3.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_kernels_equal_the_plain_formulas_bit_for_bit(weighted_plane, p):
+    sp = weighted_plane
+    c = origin_node(sp)
+    fld = radialize(sp, c, _ring_profile(0.1, 1.0, p))
+    assert 0.2 < np.mean(fld.g_edge == 0) < 0.8  # the zeros the powers skip
+    _assert_kernels_match_the_formulas(sp, fld, c, 0.1, 1.0, p)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("bad", [np.nan, -0.5])
+def test_kernels_pass_nan_and_negative_entries_as_the_formulas_do(weighted_plane, p, bad):
+    # powers taken only where x > 0 would drop these entries' terms
+    sp = weighted_plane
+    c = origin_node(sp)
+    fld = radialize(sp, c, _ring_profile(0.1, 1.0, p))
+    g, lip = fld.g_edge.copy(), fld.lip.copy()
+    g[[0, g.size // 2]] = bad
+    d = sp.distances_from(c)
+    lip[np.flatnonzero((d > 0.1) & (d < 1.0))[[0, -1]]] = bad
+    with np.errstate(invalid="ignore"):  # a negative base at p = 1.5
+        _assert_kernels_match_the_formulas(sp, PotentialField(fld.u, g, lip), c, 0.1, 1.0, p)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_peaks_stay_near_one_edge_array(weighted_plane):
+    # p_energy holds one float array of the edges and its nonzero mask, an
+    # eighth of it (1.13); the shells hold four arrays of the ring's nodes,
+    # about 0.55 n = 0.28 m here (1.11).  Binning the whole space peaked at
+    # 1.61 edge arrays.
+    sp = weighted_plane
+    c = origin_node(sp)
+    fld = radialize(sp, c, log_profile(0.1, 1.0))
+    sp.edge_masses()
+    edge_bytes = 8 * sp.n_edges
+    assert _traced_peak(lambda: p_energy(sp, fld, 3.0)) <= 1.25 * edge_bytes
+    assert _traced_peak(
+        lambda: dyadic_shell_energy(sp, fld, c, 0.1, 1.0, 3.0)) <= 1.25 * edge_bytes
 
 
 # ----------------------------------------------------------------------

@@ -209,6 +209,41 @@ def test_distance_row_memory(kind):
     assert cached_peak <= 1e-3 * row_bytes
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_heisenberg_grid(0.66, 0.03, t_half_extent=0.12, t_step=0.0012,
+                                  with_edges=False),
+    lambda: build_euclidean_grid(2, 1.05, 0.01, alpha=1.0),
+    lambda: build_euclidean_grid(3, 0.85, 0.05),
+], ids=["gauge", "weighted_plane", "grid3"])
+def test_nearest_node_at_a_node_keeps_its_row(build):
+    # nearest_node measured the whole row at a node and dropped it, so the
+    # caller's distances_from(node) measured it again
+    space = build()
+    k = space.n_nodes // 3
+    c = space.nearest_node(space.coords[k])
+    assert c == k
+    row, peak = _traced_peak(lambda: space.distances_from(c))
+    assert peak <= 1e-3 * 8 * space.n_nodes
+    fresh = DiscreteSpace(space.coords, space.mass, space.edges, space.edge_lengths,
+                          space.metric, space.resolution)
+    assert row.tobytes() == fresh.distances_from(c).tobytes()
+    with pytest.raises(ValueError):
+        row[0] = 1.0
+
+
+@pytest.mark.parametrize("name,shift", [("grid2", 0.3), ("glued2", 0.0)])
+def test_nearest_node_off_a_node_or_on_a_path_space_keeps_no_row(request, name, shift):
+    # a path space's nearest_node measures coordinates, not its metric
+    space = request.getfixturevalue(name)
+    space.distances_from(0)
+    k = space.n_nodes // 3
+    c = space.nearest_node(space.coords[k] + shift * space.resolution)
+    assert c == k
+    row, peak = _traced_peak(lambda: space.distances_from(c))
+    assert peak >= 8 * space.n_nodes
+    assert row.tobytes() == _row_reference(space, c).tobytes()
+
+
 @pytest.mark.parametrize("name", ["weighted2", "heis_probe", "glued2"])
 def test_ball_masses_match_brute_force(request, name):
     space = request.getfixturevalue(name)
