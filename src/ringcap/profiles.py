@@ -16,10 +16,15 @@ Energies come in two discrete forms: the edge form sums
 the node form sums ``mass * lip^p`` with the node Lipschitz surrogate
 ``lip(x) = max incident |du| / len``.
 
+The edge quotients and node maxima of a field come from the space
+(``DiscreteSpace._edge_quotients``): a grid of ``build_euclidean_grid``
+computes them by axis slabs of the node values, with no gather of edge
+ends and no ``np.maximum.at``, and every other space gathers and scatters.
+
 A radial field is flat inside the inner ball and beyond the outer radius,
 so about half of its edge quotients are exact zeros.  The powers at
 p != 2 skip them, and the dyadic shells bin the open ring's nodes alone,
-in node order; both give the plain formulas' sums bit for bit.
+in node order.  Every kernel gives the plain formulas' values bit for bit.
 """
 
 from __future__ import annotations
@@ -137,12 +142,7 @@ def field_from_values(space, u) -> PotentialField:
     if u.shape != (space.n_nodes,):
         raise ValueError("u must have one value per node")
     _check_finite(u, "u")
-    i, j = space.edges[:, 0], space.edges[:, 1]
-    g = np.abs(u[i] - u[j]) / space.edge_lengths
-    lip = np.zeros(space.n_nodes)
-    np.maximum.at(lip, i, g)
-    np.maximum.at(lip, j, g)
-    return PotentialField(u, g, lip)
+    return PotentialField(u, *space._edge_quotients(u))
 
 
 def radialize(space, center, profile) -> PotentialField:

@@ -19,7 +19,9 @@ it out read-only, so the calls that re-query one centre share a row;
 :func:`verify_metric` asks for its rows like any other caller, and
 :meth:`DiscreteSpace.nearest_node` at a node of a closed-form space keeps
 the row it measured.  Ball masses for any set of radii come from one pass
-over a row, without sorting it (:meth:`DiscreteSpace.ball_masses`).
+over a row, without sorting it (:meth:`DiscreteSpace.ball_masses`).  A
+grid of :func:`build_euclidean_grid` records its index shape, so the edge
+quotients of node values are taken by axis slabs, without gathers.
 
 Memory stays near the bytes of the space: the grid builders write their
 arrays in place at final size, and the whole-space evaluations (distance
@@ -156,6 +158,7 @@ class DiscreteSpace:
         self._adjacency = None
         self._edge_mass = None
         self._labels = None
+        self._grid_shape = None  # index shape, set by build_euclidean_grid
         if metric != "path":
             for start in range(0, edges.shape[0], _EVAL_BLOCK):
                 pairs = edges[start:start + _EVAL_BLOCK]
@@ -187,6 +190,44 @@ class DiscreteSpace:
             m = self.mass
             self._edge_mass = 0.5 * (m[self.edges[:, 0]] + m[self.edges[:, 1]])
         return self._edge_mass
+
+    def _edge_quotients(self, u):
+        """Edge quotients ``|u_i - u_j| / length`` of finite node values u,
+        and per node the largest incident one, as ``(g, lip)``.
+
+        A grid of :func:`build_euclidean_grid` works by axis slabs of
+        ``U = u.reshape(shape)``: its edges along axis a are one block of
+        ``g`` of shape ``(count_a - 1, other axes...)``, from index k to
+        k + 1.  With axis a moved to the front of ``U``, the block is
+        ``|U[:-1] - U[1:]| / len``, written in place in edge order, and
+        ``lip[:-1]`` and ``lip[1:]`` take its maximum in place.  Every other
+        space gathers the ends of its edges and scatters by
+        ``np.maximum.at``.  A maximum of non-negative quotients is exact in
+        any order, so both paths give the same bits.
+        """
+        if self._grid_shape is None:
+            i, j = self.edges[:, 0], self.edges[:, 1]
+            g = np.abs(u[i] - u[j]) / self.edge_lengths
+            lip = np.zeros(self.n_nodes)
+            np.maximum.at(lip, i, g)
+            np.maximum.at(lip, j, g)
+            return g, lip
+        U = u.reshape(self._grid_shape)
+        lip = np.zeros(self._grid_shape)
+        g = np.empty(self.n_edges)
+        at = 0
+        for ax in range(U.ndim):
+            Ua, La = np.moveaxis(U, ax, 0), np.moveaxis(lip, ax, 0)
+            block = (Ua.shape[0] - 1,) + Ua.shape[1:]
+            size = block[0] * (u.size // Ua.shape[0])
+            q = g[at : at + size].reshape(block)
+            np.subtract(Ua[:-1], Ua[1:], out=q)
+            np.abs(q, out=q)
+            q /= self.edge_lengths[at : at + size].reshape(block)
+            np.maximum(La[:-1], q, out=La[:-1])
+            np.maximum(La[1:], q, out=La[1:])
+            at += size
+        return g, lip.ravel()
 
     def component_labels(self) -> np.ndarray:
         """Component label of each node in the graph of the edges with
@@ -481,10 +522,14 @@ def build_euclidean_grid(n, half_extent, h, alpha=0.0):
         Euclidean metric, axis-neighbor edges of length h, boundary cells
         truncated to the declared extent.  Nodes are in C order of their
         index tuples; the edges along axis 0 come first, then axis 1, and
-        so on.  Every array is written in place at its final size, so the
-        build peaks near the bytes of the space itself (1.04 times them on
-        a 3-d grid of 1.2M nodes; 1.26 on the weighted plane of 231k nodes,
-        where the weight temporaries of one block show).
+        so on, each axis in the order of :func:`_grid_edges`.  This order is
+        a contract: the space records its index shape, and its edge
+        quotients (:meth:`DiscreteSpace._edge_quotients`) are taken by axis
+        slabs that rely on it.  Every array is written in place at its
+        final size, so the build peaks near the bytes of the space itself
+        (1.04 times them on a 3-d grid of 1.2M nodes; 1.26 on the weighted
+        plane of 231k nodes, where the weight temporaries of one block
+        show).
     """
     n = int(n)
     if n not in (1, 2, 3, 4):
@@ -514,7 +559,9 @@ def build_euclidean_grid(n, half_extent, h, alpha=0.0):
 
     edges = _grid_edges((count,) * n)
     lengths = np.full(edges.shape[0], h)
-    return DiscreteSpace(coords, mass, edges, lengths, "euclidean", h)
+    space = DiscreteSpace(coords, mass, edges, lengths, "euclidean", h)
+    space._grid_shape = (count,) * n
+    return space
 
 
 def _heisenberg_edges(m, mk, h, t_step, horizontal):

@@ -9,14 +9,17 @@ import pytest
 from conftest import origin_node
 from oracles import radial_profile_energy
 from ringcap import (
+    DiscreteSpace,
     PotentialField,
     build_euclidean_grid,
     dyadic_shell_energy,
     field_from_values,
+    load_space,
     log_profile,
     p_energy,
     power_profile,
     radialize,
+    save_space,
 )
 
 
@@ -132,6 +135,70 @@ def test_field_from_values_rejects_non_finite_values(grid2, bad):
 # the kernels against the plain formulas
 # ----------------------------------------------------------------------
 
+def _plain_field(space, u):
+    """Edge quotients by gathering both ends, node maxima by two scatters."""
+    i, j = space.edges[:, 0], space.edges[:, 1]
+    g = np.abs(u[i] - u[j]) / space.edge_lengths
+    lip = np.zeros(space.n_nodes)
+    np.maximum.at(lip, i, g)
+    np.maximum.at(lip, j, g)
+    return g, lip
+
+
+def _field_values(space, seed):
+    """A radial field around the node nearest the origin, and seeded noise."""
+    d = space.distances_from(origin_node(space))
+    rng = np.random.default_rng(seed)
+    return [log_profile(0.1, 0.8 * d.max())(d), rng.normal(size=space.n_nodes)]
+
+
+def _assert_field_is_the_plain_formula(space, u):
+    fld = field_from_values(space, u)
+    g, lip = _plain_field(space, u)
+    assert np.all(fld.g_edge == g) and fld.g_edge.shape == g.shape
+    assert np.all(fld.lip == lip) and fld.lip.shape == lip.shape
+    return fld
+
+
+@pytest.mark.parametrize("n,half_extent,h,alpha", [
+    (1, 1.2, 0.01, 0.0), (1, 1.2, 0.01, 1.0),
+    (2, 1.05, 0.05, 0.0), (2, 1.05, 0.05, 1.0),
+    (3, 0.6, 0.05, 0.0), (3, 0.6, 0.05, 1.0),
+    (4, 0.4, 0.1, 0.0), (4, 0.4, 0.1, 1.0),
+])
+def test_grid_field_by_axis_slabs_is_the_plain_formula(n, half_extent, h, alpha):
+    sp = build_euclidean_grid(n, half_extent, h, alpha=alpha)
+    assert sp._grid_shape == (2 * round(half_extent / h) + 1,) * n
+    for u in _field_values(sp, seed=n):
+        _assert_field_is_the_plain_formula(sp, u)
+
+
+def _hand_built_space():
+    """A 4-cycle with a chord and a repeated edge, edges in no grid order."""
+    coords = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    edges = [[2, 1], [0, 1], [3, 2], [0, 3], [1, 3], [3, 0]]
+    lengths = [1.0, 1.0, 1.0, 1.0, 2.0**0.5, 1.0]
+    return DiscreteSpace(coords, np.ones(4), edges, lengths, "euclidean", 1.0)
+
+
+@pytest.mark.parametrize("which", ["cone2", "glued2", "heis_graph", "hand_built", "loaded_grid"])
+def test_other_spaces_record_no_layout_and_gather(request, tmp_path, grid2, which):
+    if which == "hand_built":
+        sp = _hand_built_space()
+    elif which == "loaded_grid":
+        save_space(grid2, tmp_path / "grid2.txt")
+        sp = load_space(tmp_path / "grid2.txt", metric="euclidean")
+    else:
+        sp = request.getfixturevalue(which)
+    assert sp._grid_shape is None
+    for u in _field_values(sp, seed=5):
+        fld = _assert_field_is_the_plain_formula(sp, u)
+        if which == "loaded_grid":  # the slab path gives the gather path's bytes
+            built = field_from_values(grid2, u)
+            assert fld.g_edge.tobytes() == built.g_edge.tobytes()
+            assert fld.lip.tobytes() == built.lip.tobytes()
+
+
 def _plain_energy(space, fld, p):
     return (float((space.edge_masses() * fld.g_edge**p).sum()),
             float((space.mass * fld.lip**p).sum()))
@@ -202,12 +269,20 @@ def test_kernel_peaks_stay_near_one_edge_array(weighted_plane):
     # p_energy holds one float array of the edges and its nonzero mask, an
     # eighth of it (1.13); the shells hold four arrays of the ring's nodes,
     # about 0.55 n = 0.28 m here (1.11).  Binning the whole space peaked at
-    # 1.61 edge arrays.
+    # 1.61 edge arrays.  field_from_values returns g (one edge array) and lip
+    # (n = 0.5 m, half of one), 1.5 in all.  Beside them the slabs hold only
+    # numpy's iterator buffers, at most three operands of getbufsize()
+    # doubles (192 KiB, whatever the size), for an axis whose edges run
+    # across memory: 1.64 here, and 1.54 on the 231k-node plane.  The u mask
+    # of the finiteness check, m / 16, is freed before.  Gathering both
+    # ends peaked at 2.00.
     sp = weighted_plane
     c = origin_node(sp)
     fld = radialize(sp, c, log_profile(0.1, 1.0))
     sp.edge_masses()
     edge_bytes = 8 * sp.n_edges
+    buffers = 3 * 8 * np.getbufsize()
+    assert _traced_peak(lambda: field_from_values(sp, fld.u)) <= 1.6 * edge_bytes + buffers
     assert _traced_peak(lambda: p_energy(sp, fld, 3.0)) <= 1.25 * edge_bytes
     assert _traced_peak(
         lambda: dyadic_shell_energy(sp, fld, c, 0.1, 1.0, 3.0)) <= 1.25 * edge_bytes
