@@ -15,7 +15,10 @@ is normalized to 1 here.  All remaining factors are written out exactly,
 so values are reproducible numbers rather than order estimates.  A
 pointwise Riesz-type potential of the gradient completes the module.
 ``regime``, both envelopes, ``estimate_ring`` and ``riesz_potential``
-check p, r and R by the NaN-safe input rules defined in ``spaces``.
+check p, r, R, q_center and a given q_local by the NaN-safe input rules
+defined in ``spaces``.  ``REGIME_TOL`` decides the tie p = q for the
+package: ``regime`` calls it critical, ``profiles.power_profile`` is the
+log shape there, and the below-regime upper envelope raises at q_local = p.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import _check_exponent, _check_positive, _check_radii
+from .spaces import _check_dimension, _check_exponent, _check_positive, _check_radii
 
 __all__ = [
     "regime",
@@ -45,18 +48,21 @@ def regime(p, q_center) -> str:
     critical.
     """
     _check_exponent(p)
-    if not 1 <= q_center < np.inf:
-        raise ValueError("pointwise dimension must be finite and at least 1")
+    _check_dimension(q_center, "pointwise dimension")
     if abs(p - q_center) <= REGIME_TOL:
         return "critical"
     return "below" if p < q_center else "above"
 
 
-def _checked_regime(r, R, p, q_center, mass_inner):
+def _checked_regime(r, R, p, q_center, mass_inner, q_local=None):
+    """The regime of a checked ring, and its q_local (default q_center)."""
     _check_radii(r, R)
     if not mass_inner >= 0:
         raise ValueError("inner ball mass must be nonnegative")
-    return regime(p, q_center)
+    which = regime(p, q_center)
+    q_local = q_center if q_local is None else q_local
+    _check_dimension(q_local, "local dimension q_local")
+    return which, q_local
 
 
 # Each branch constant is written once, in _lower or _upper, so the envelopes
@@ -81,6 +87,8 @@ def _lower(which, r, R, p, q_center, mass_inner):
 def _upper(which, r, R, p, q_center, mass_inner, q_local):
     """Branch constant and value of the upper envelope."""
     if which == "below":
+        if abs(p - q_local) <= REGIME_TOL:
+            raise ValueError("below-regime upper envelope is infinite at q_local = p")
         c = abs(1.0 - (R / r) ** ((p - q_local) / (p - 1.0))) ** (-p)
         return c, c * mass_inner / r**p
     if which == "critical":
@@ -99,7 +107,7 @@ def lower_bound(r, R, p, q_center, mass_inner) -> float:
     ``(1 - r/R)^(p(p-1))`` factor; the critical branch carries
     ``(1 - r/R)^(q(q-1))`` and ``log(R/r)^(1-q)``.
     """
-    which = _checked_regime(r, R, p, q_center, mass_inner)
+    which, _ = _checked_regime(r, R, p, q_center, mass_inner)
     return _lower(which, r, R, p, q_center, mass_inner)[1]
 
 
@@ -109,11 +117,10 @@ def upper_bound(r, R, p, q_center, mass_inner, q_local=None) -> float:
     The below branch is driven by the local dimension ``q_local`` (default:
     ``q_center``) through the exponent ``(p - q)/(p - 1)``; the critical
     branch by ``log(R/r)^(1-q)``; the above branch is the pure radial term
-    ``|(2R)^a - r^a|^(1-p)`` without a mass factor.
+    ``|(2R)^a - r^a|^(1-p)`` without a mass factor.  The below branch
+    raises where q_local ties with p within ``REGIME_TOL``.
     """
-    which = _checked_regime(r, R, p, q_center, mass_inner)
-    if q_local is None:
-        q_local = q_center
+    which, q_local = _checked_regime(r, R, p, q_center, mass_inner, q_local)
     return _upper(which, r, R, p, q_center, mass_inner, q_local)[1]
 
 
@@ -135,9 +142,7 @@ class RegimeEstimate:
 
 def estimate_ring(r, R, p, q_center, mass_inner, q_local=None) -> RegimeEstimate:
     """Evaluate both envelopes and record the branch constants."""
-    if q_local is None:
-        q_local = q_center
-    which = _checked_regime(r, R, p, q_center, mass_inner)
+    which, q_local = _checked_regime(r, R, p, q_center, mass_inner, q_local)
     c_lower, lo = _lower(which, r, R, p, q_center, mass_inner)
     c_upper, hi = _upper(which, r, R, p, q_center, mass_inner, q_local)
     return RegimeEstimate(which, lo, hi, r, R, p, q_center, q_local, mass_inner,

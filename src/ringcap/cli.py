@@ -30,6 +30,10 @@ from .profiles import dyadic_shell_energy, log_profile, p_energy, power_profile,
 from .solver import relative_capacity, singleton_capacity_limit, verify_sandwich
 from .spaces import (
     _FMT,
+    _check_dimension,
+    _check_exponent,
+    _check_finite,
+    _check_positive,
     build_double_cone,
     build_euclidean_grid,
     build_glued_balls,
@@ -97,15 +101,12 @@ def _sha256(path: Path) -> str:
 _REQUIRED = object()
 
 
-def _number(value, name, *, minimum=None, strict=False):
+def _number(value, name, rule=_check_finite):
+    """A JSON number that passes ``rule``, one of the shared input rules."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{name}' must be a number")
     v = float(value)
-    if not np.isfinite(v):
-        raise ConfigError(f"'{name}' must be finite")
-    if minimum is not None and (v <= minimum if strict else v < minimum):
-        op = ">" if strict else ">="
-        raise ConfigError(f"'{name}' must be {op} {minimum}")
+    rule(v, f"'{name}'")
     return v
 
 
@@ -120,9 +121,11 @@ def _node(value, name, space):
 class _Keys:
     """One config mapping, read key by key with a type check per read.
 
-    Each reader removes its key and checks its value.  A key is required
-    unless a default is given; with default None, absent or null reads as
-    None.  ``done`` rejects the keys left unread.
+    Each reader removes its key and checks its value: its JSON type here,
+    a float's range by an input rule of ``spaces`` (finite by default), and
+    an integer count, which no rule owns, by its ``minimum``.  A key is
+    required unless a default is given; with default None, absent or null
+    reads as None.  ``done`` rejects the keys left unread.
     """
 
     def __init__(self, obj, where):
@@ -146,23 +149,21 @@ class _Keys:
         value = self.take(key, default)
         return None if value is None and default is None else check(value)
 
-    def number(self, key, default=_REQUIRED, *, minimum=None, strict=False):
-        return self._read(key, default, lambda v: _number(
-            v, key, minimum=minimum, strict=strict))
+    def number(self, key, default=_REQUIRED, rule=_check_finite):
+        return self._read(key, default, lambda v: _number(v, key, rule))
 
     def positive(self, key, default=_REQUIRED):
-        return self.number(key, default, minimum=0, strict=True)
+        return self.number(key, default, _check_positive)
 
     def exponent(self, key, default=_REQUIRED):
-        """A number > 1."""
-        return self.number(key, default, minimum=1, strict=True)
+        return self.number(key, default, _check_exponent)
 
     def integer(self, key, default=_REQUIRED, *, minimum):
         """An integral number (2.0 reads as 2) that is at least ``minimum``."""
         def check(value):
-            v = _number(value, key, minimum=minimum)
-            if not v.is_integer():
-                raise ConfigError(f"'{key}' must be an integer")
+            v = _number(value, key)
+            if not v.is_integer() or v < minimum:
+                raise ConfigError(f"'{key}' must be an integer >= {minimum}")
             return int(v)
         return self._read(key, default, check)
 
@@ -174,12 +175,12 @@ class _Keys:
             return value
         return self._read(key, default, check)
 
-    def numbers(self, key, default=_REQUIRED, *, minimum=None, strict=False):
+    def numbers(self, key, default=_REQUIRED, rule=_check_finite):
         """A nonempty list of numbers, each checked as by ``number``."""
         def check(value):
             if not isinstance(value, list) or not value:
                 raise ConfigError(f"'{key}' must be a nonempty list of numbers")
-            return [_number(v, key, minimum=minimum, strict=strict) for v in value]
+            return [_number(v, key, rule) for v in value]
         return self._read(key, default, check)
 
     def node(self, key, space):
@@ -244,16 +245,20 @@ def _ring(task, space):
 
 
 def _ring_table(task, space):
-    """The center, r_list, R, p_list, q_center and q_local of a table of
-    rings, and the manifest's validity note for its R and R0."""
+    """The center of a table of rings, the envelopes of every ring (a row
+    per r, one ball mass each), and the manifest's validity note for its R
+    and R0.  A ring without envelopes is refused here, before any solve."""
     center = task.node("center", space)
-    r_list = task.numbers("r_list", minimum=0, strict=True)
+    r_list = task.numbers("r_list", rule=_check_positive)
     big_r = task.positive("R")
-    p_list = task.numbers("p_list", minimum=1, strict=True)
-    q_center = task.exponent("q_center")
-    q_local = task.exponent("q_local", None)
+    p_list = task.numbers("p_list", rule=_check_exponent)
+    q_center = task.number("q_center", rule=_check_dimension)
+    q_local = task.number("q_local", None, _check_dimension)
     extras = _validity_extras(space, center, big_r, task.positive("R0", None))
-    return center, r_list, big_r, p_list, q_center, q_local, extras
+    masses = [space.ball_mass(center, r) for r in r_list]
+    table = [[estimate_ring(r, big_r, p, q_center, mass, q_local=q_local)
+              for p in p_list] for r, mass in zip(r_list, masses)]
+    return center, table, extras
 
 
 def _tolerance(task):
@@ -318,15 +323,11 @@ def _validity_extras(space, center, big_r, r0):
 
 
 def _task_bounds(task, space, out, rng):
-    center, r_list, big_r, p_list, q_center, q_local, extras = _ring_table(task, space)
+    _, table, extras = _ring_table(task, space)
     task.done()
-    rows = []
-    for r in r_list:
-        mass = space.ball_mass(center, r)
-        for p in p_list:
-            est = estimate_ring(r, big_r, p, q_center, mass, q_local=q_local)
-            rows.append([r, big_r, p, est.regime, est.lower, est.upper,
-                         est.constants["c_lower"], est.constants["c_upper"], mass])
+    rows = [[est.r, est.R, est.p, est.regime, est.lower, est.upper,
+             est.constants["c_lower"], est.constants["c_upper"], est.mass_inner]
+            for row in table for est in row]
     _write_csv(out / "bounds.csv",
                ["r", "R", "p", "regime", "lower", "upper", "c_lower", "c_upper",
                 "mass_inner"], zip(*rows))
@@ -346,7 +347,7 @@ def _make_profile(kind, r, big_r, p, q):
 def _task_profile_energy(task, space, out, rng):
     kind = task.take("kind")
     center, r, big_r, p = _ring(task, space)
-    q = task.exponent("q", None)
+    q = task.number("q", None)
     task.done()
     prof = _make_profile(kind, r, big_r, p, q)
     fld = radialize(space, center, prof)
@@ -391,8 +392,8 @@ def _task_solve(task, space, out, rng):
 
 def _task_sandwich(task, space, out, rng):
     center, r, big_r, p = _ring(task, space)
-    q_center = task.exponent("q_center")
-    q_local = task.exponent("q_local", None)
+    q_center = task.number("q_center", rule=_check_dimension)
+    q_local = task.number("q_local", None, _check_dimension)
     tol = _tolerance(task)
     task.done()
     rep = verify_sandwich(space, center, r, big_r, p, q_center,
@@ -446,8 +447,8 @@ def _task_green(task, space_spec, out, rng):
     fractions = _level_fractions(task.take(
         "level_fractions",
         [[0.0, 1.0], [0.1, 0.5], [0.2, 0.8], [0.3, 0.6], [0.5, 0.9]]))
-    refine = task.numbers("refine_h", None, minimum=0, strict=True)
-    q_center = task.number("q_center", None, minimum=1)
+    refine = task.numbers("refine_h", None, _check_positive)
+    q_center = task.number("q_center", None, _check_dimension)
     tol = _tolerance(task)
     task.done()
     if refine is not None and q_center is None:
@@ -480,7 +481,7 @@ def _task_green(task, space_spec, out, rng):
 def _task_singleton(task, space, out, rng):
     center = task.node("center", space)
     big_r = task.positive("R")
-    r_list = task.numbers("r_list", minimum=0, strict=True)
+    r_list = task.numbers("r_list", rule=_check_positive)
     p = task.exponent("p")
     tol = _tolerance(task)
     task.done()
@@ -496,19 +497,17 @@ def _task_singleton(task, space, out, rng):
 
 
 def _task_regime_sweep(task, space, out, rng):
-    center, r_list, big_r, p_list, q_center, q_local, extras = _ring_table(task, space)
+    center, table, extras = _ring_table(task, space)
     tol, max_iter = _solve_params(task)
     task.done()
     rows, all_conv = [], True
-    for p in p_list:
-        for r in r_list:
-            est = estimate_ring(r, big_r, p, q_center,
-                                space.ball_mass(center, r), q_local=q_local)
-            res = relative_capacity(space, center, r, big_r, p,
+    for column in zip(*table):  # the rings of one p, in p_list order
+        for est in column:
+            res = relative_capacity(space, center, est.r, est.R, est.p,
                                     tol=tol, max_iter=max_iter)
             all_conv = all_conv and res.converged
-            rows.append([r, big_r, p, est.regime, res.value, est.lower, est.upper,
-                        res.iterations, res.converged])
+            rows.append([est.r, est.R, est.p, est.regime, res.value, est.lower,
+                         est.upper, res.iterations, res.converged])
     _write_csv(out / "sweep.csv",
                ["r", "R", "p", "regime", "capacity", "lower", "upper",
                 "iterations", "converged"], zip(*rows))
@@ -580,7 +579,7 @@ def run(task, config_path, out_dir, seed=None, quiet=False) -> int:
             artifacts, extras, converged = fn(task_keys, handle, out, rng)
         except ValueError as exc:
             raise ConfigError(f"task: {exc}") from exc
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # a ValueError here: a rule on 'seed'
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import _check_positive
+from .spaces import _check_finite, _check_positive
 
 __all__ = [
     "PowerLawFit",
@@ -158,8 +158,7 @@ def check_volume_bounds(space, node, r_ref, q_local, q_point,
     annulus) fails.
     """
     _check_positive(r_ref, "reference radius")
-    if not np.all(np.isfinite([q_local, q_point])):
-        raise ValueError("dimension exponents must be finite")
+    _check_finite([q_local, q_point], "dimension exponents")
     if radii is None:
         radii = np.geomspace(_radius_floor(space), r_ref, 10)
     radii = np.asarray(radii, dtype=float)
@@ -205,8 +204,7 @@ def ahlfors_regularity(space, q, sample_nodes, radii) -> AhlforsReport:
     if sample_nodes.size == 0 or radii.size == 0:
         raise ValueError("need nonempty samples and radii")
     _check_positive(radii, "radii")
-    if not np.isfinite(q):
-        raise ValueError("dimension exponent q must be finite")
+    _check_finite(q, "dimension exponent q")
     lo, hi = np.inf, 0.0
     for x in sample_nodes:
         masses = space.ball_masses(int(x), radii)

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import REGIME_TOL
 from .spaces import _check_exponent, _check_finite, _check_radii
 
 __all__ = [
@@ -84,18 +85,18 @@ class RadialProfile:
 
 
 def power_profile(r, R, p, q) -> RadialProfile:
-    """Power-law ring profile for exponent p against dimension q, p != q.
+    """Power-law ring profile for exponent p against dimension q.
 
     On the ring the shape is ``(t^a - R^a) / (r^a - R^a)`` with
     ``a = (p - q) / (p - 1)``; for p < q it decays like the fundamental
     radial solution, for p > q it is the increasing-exponent analogue.
+    At a tie within ``bounds.REGIME_TOL`` it is its a -> 0 limit, ``log_profile``.
     """
     _check_exponent(p)
     _check_radii(r, R)
-    if not np.isfinite(q):
-        raise ValueError("dimension q must be finite")
-    if abs(p - q) <= 1e-12:
-        raise ValueError("power profile degenerates at p = q; use log_profile")
+    _check_finite(q, "dimension q")
+    if abs(p - q) <= REGIME_TOL:
+        return log_profile(r, R)
     a = (p - q) / (p - 1.0)
     denom = r**a - R**a
 

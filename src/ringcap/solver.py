@@ -77,9 +77,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .bounds import lower_bound, regime, upper_bound
+from .bounds import estimate_ring
 from .dimension import _radius_floor
-from .profiles import log_profile, p_energy, power_profile, radialize
+from .profiles import p_energy, power_profile, radialize
 from .spaces import (
     _check_exponent,
     _check_finite,
@@ -546,8 +546,7 @@ def relative_capacity(space, center, r, R, p, tol=1e-6, max_iter=100) -> Capacit
         inner, outer = space.ball_masses(center, [r, R])
         q = np.log(outer / inner) / np.log(R / r) if inner > 0 else np.nan
         if np.isfinite(q):
-            prof = (log_profile(r, R) if abs(p - q) <= 1e-12
-                    else power_profile(r, R, p, q))
+            prof = power_profile(r, R, p, q)  # the log profile where q = p
             x0 = prof(space.distances_from(center))  # radialize's u, no edge pass
     return solve_condenser(space, cond, p, tol=tol, max_iter=max_iter, x0=x0)
 
@@ -610,31 +609,23 @@ def verify_sandwich(space, center, r, R, p, q_center, q_local=None,
     """Solve a ring and compare against the admissible profile and bounds.
 
     The profile kind follows the regime: the power shape with the local
-    dimension below the critical exponent, the log shape at it, and the
-    power shape with the pointwise dimension above it.  The radialized
-    profile is admissible for the ring condenser, so its edge energy must
-    dominate the solved capacity up to solver tolerance.
+    dimension below the critical exponent, and with the pointwise dimension
+    at and above it, where ``power_profile`` is the log shape at the tie.
+    The radialized profile is admissible for the ring condenser, so its
+    edge energy must dominate the solved capacity up to solver tolerance.
+    Both envelopes are evaluated before the solve, so a ring without a
+    finite envelope is rejected without solving it.
     """
-    if q_local is None:
-        q_local = q_center
-    which = regime(p, q_center)
+    _check_radii(r, R)  # before the ball query, so a bad radius reads as such
+    est = estimate_ring(r, R, p, q_center, space.ball_mass(center, r), q_local)
+    prof = power_profile(r, R, p, est.q_local if est.regime == "below" else q_center)
     res = relative_capacity(space, center, r, R, p, tol=tol)
-    if which == "below":
-        prof = power_profile(r, R, p, q_local)
-    elif which == "critical":
-        prof = log_profile(r, R)
-    else:
-        prof = power_profile(r, R, p, q_center)
-    fld = radialize(space, center, prof)
-    e = p_energy(space, fld, p).edge
-    mass_inner = space.ball_mass(center, r)
-    lo = lower_bound(r, R, p, q_center, mass_inner)
-    hi = upper_bound(r, R, p, q_center, mass_inner, q_local)
+    e = p_energy(space, radialize(space, center, prof), p).edge
     admissible_ok = res.value <= e * (1.0 + 10.0 * tol) + 10.0 * tol
-    ratio_lower = res.value / lo if lo > 0 else np.inf
-    ratio_upper = e / hi if hi > 0 else np.inf
-    return SandwichReport(which, res.value, e, lo, hi, admissible_ok,
-                          ratio_lower, ratio_upper, res)
+    ratio_lower = res.value / est.lower if est.lower > 0 else np.inf
+    ratio_upper = e / est.upper if est.upper > 0 else np.inf
+    return SandwichReport(est.regime, res.value, e, est.lower, est.upper,
+                          admissible_ok, ratio_lower, ratio_upper, res)
 
 
 @dataclass

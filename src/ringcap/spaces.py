@@ -68,9 +68,14 @@ _EVAL_BLOCK = 1 << 16
 
 
 # ``not lo < x < hi`` rejects NaN, which fails every comparison
-def _check_exponent(p):
+def _check_exponent(p, name="exponent p"):
     if not 1 < p < np.inf:
-        raise ValueError("exponent p must be finite and exceed 1")
+        raise ValueError(f"{name} must be finite and exceed 1")
+
+
+def _check_dimension(q, name):
+    if not 1 <= q < np.inf:
+        raise ValueError(f"{name} must be finite and at least 1")
 
 
 def _check_radii(r, R):

@@ -101,6 +101,16 @@ def test_below_upper_bound_value():
     assert upper_bound(r, R, p, q, mass) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("gap", [0.0, 5e-10, -5e-10])
+def test_below_upper_bound_rejects_a_local_dimension_tied_with_p(gap):
+    # (R/r)^0 = 1 leaves 0^(-p): no finite envelope within REGIME_TOL of p = q_local
+    with pytest.raises(ValueError, match="q_local = p"):
+        upper_bound(0.1, 0.4, 2.0, 3.0, 0.7, q_local=2.0 + gap)
+    with pytest.raises(ValueError, match="q_local = p"):
+        estimate_ring(0.1, 0.4, 2.0, 3.0, 0.7, q_local=2.0 + gap)
+    assert math.isfinite(upper_bound(0.1, 0.4, 2.0, 3.0, 0.7, q_local=2.0 + 1e-6))
+
+
 def test_above_bounds_and_small_r_limit():
     # p = 4, q = 2: exponent a = 2/3; the upper branch carries no mass factor
     p, q, R = 4.0, 2.0, 1.0
@@ -325,9 +335,11 @@ def test_potential_rejects_a_coincident_node():
 # values as defaults, on a coarse plane ``s`` (h = 0.05) around its node
 # ``c``; the radii are r = 0.2 and R = 0.6 wherever both appear.
 RULE_ENTRY_POINTS = {
-    "regime": lambda s, c, p=3.0: regime(p, 2.0),
+    "regime": lambda s, c, p=3.0, q_center=2.0: regime(p, q_center),
     "lower_bound": lambda s, c, r=0.2, R=0.6, p=3.0: lower_bound(r, R, p, 2.0, 1.0),
-    "estimate_ring": lambda s, c, r=0.2, R=0.6, p=3.0: estimate_ring(r, R, p, 2.0, 1.0),
+    "upper_bound": lambda s, c, q_local=3.0: upper_bound(0.2, 0.6, 1.5, 2.0, 1.0, q_local),
+    "estimate_ring": lambda s, c, r=0.2, R=0.6, p=3.0, q_center=2.0, q_local=2.0: (
+        estimate_ring(r, R, p, q_center, 1.0, q_local)),
     "riesz_potential": lambda s, c, r=0.2, p=3.0: riesz_potential(
         s, field_from_values(s, np.zeros(s.n_nodes)), c, c, r, p),
     "RadialProfile": lambda s, c, r=0.2, R=0.6: RadialProfile(
@@ -379,8 +391,11 @@ RULE_BOUNDARY = {"p": 1.0, "r": 0.0, "R": 0.2, "tol": 0.0, "rho": 0.0, "q": None
                  "segment_length": math.nextafter(0.5, 0.0),
                  "r_max": math.nextafter(0.5, 0.0), "c_doubling": math.nextafter(1.0, 0.0),
                  "r_min": 0.0, "r_ref": 0.0, "q_local": None, "q_point": None,
+                 "q_center": math.nextafter(1.0, 0.0),
                  "x": 0.0, "y": 0.0}
 ENTRY_BOUNDARY = {("build_heisenberg_grid", "half_extent"): 0.1,
+                  ("upper_bound", "q_local"): math.nextafter(1.0, 0.0),
+                  ("estimate_ring", "q_local"): math.nextafter(1.0, 0.0),
                   ("analyze_dimension", "r_max"): math.nextafter(2.5, 0.0)}
 VALID_INF = {"radius"}  # a ball of infinite radius is the reachable space
 RULE_MESSAGE = {"radius": "radius must be nonnegative", "node": "node ids out of range",

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ringcap import cli, green
+from ringcap import cli, green, solver
 from ringcap.spaces import build_euclidean_grid, save_space
 
 
@@ -210,6 +210,16 @@ def line_cfg(task, h=0.04):
     ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0, "q_center": "two"})),
     ("green", line_cfg({"center": [0.0], "R": 1.0, "p": 2.0, "q_center": "two",
                         "refine_h": [0.04, 0.02, 0.01]})),
+    # a later ring with r >= R, checked before the first ring's solve
+    ("regime-sweep", grid_cfg({"center": [0.0, 0.0], "r_list": [0.1, 0.5], "R": 0.4,
+                               "p_list": [2.0], "q_center": 2.0})),
+    # below the critical exponent with q_local = p: no finite upper envelope
+    ("bounds", grid_cfg({"center": [0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                         "p_list": [2.0], "q_center": 3.0, "q_local": 2.0})),
+    ("regime-sweep", grid_cfg({"center": [0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                               "p_list": [3.0, 2.0], "q_center": 3.0, "q_local": 2.0})),
+    ("sandwich", grid_cfg({"center": [0.0, 0.0], "r": 0.1, "R": 0.4, "p": 2.0,
+                           "q_center": 3.0, "q_local": 2.0})),
 ])
 def test_malformed_task_inputs_exit_2_before_any_solve(tmp_path, monkeypatch,
                                                        task, cfg_obj):
@@ -218,6 +228,7 @@ def test_malformed_task_inputs_exit_2_before_any_solve(tmp_path, monkeypatch,
 
     monkeypatch.setattr(cli, "build_green", no_solve)
     monkeypatch.setattr(cli, "relative_capacity", no_solve)
+    monkeypatch.setattr(solver, "relative_capacity", no_solve)  # verify_sandwich's
     assert_rejected(tmp_path, task, cfg_obj)
 
 
@@ -244,6 +255,39 @@ def test_integral_floats_read_as_integers(tmp_path):
                        str(out), quiet=True) == 0
         digests.append(read_manifest(out)["artifacts"])
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("task,extra", [
+    ("bounds", {"r_list": [0.2], "p_list": [2.0]}),
+    ("sandwich", {"r": 0.2, "p": 2.0}),
+    ("regime-sweep", {"r_list": [0.2], "p_list": [2.0]}),
+])
+def test_ring_tasks_take_the_line_dimension(tmp_path, task, extra):
+    # q = 1 is the dimension of the line, as the green task already took it
+    cfg = line_cfg(dict(extra, center=[0.0], R=1.0, q_center=1.0))
+    out = tmp_path / "out"
+    assert cli.run(task, write_cfg(tmp_path, cfg), str(out), quiet=True) == 0
+    csv_name = {"bounds": "bounds.csv", "regime-sweep": "sweep.csv"}.get(task)
+    if csv_name is None:
+        assert json.loads((out / "sandwich.json").read_text())["regime"] == "above"
+    else:
+        with open(out / csv_name) as fh:
+            row, = csv.DictReader(fh)
+        assert row["regime"] == "above"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("q_center", 0.5, "'q_center' must be finite and at least 1"),
+    ("q_local", 0.5, "'q_local' must be finite and at least 1"),
+    ("R", -1.0, "'R' must be finite and positive"),
+    ("p_list", [2.0, 1.0], "'p_list' must be finite and exceed 1"),
+    ("r_list", [0.1, float("nan")], "'r_list' must be finite"),
+])
+def test_config_errors_carry_the_rule_message(tmp_path, capsys, key, value, message):
+    cfg = grid_cfg({"center": [0.0, 0.0], "r_list": [0.1], "R": 0.4,
+                    "p_list": [2.0], "q_center": 2.0}, **{key: value})
+    assert_rejected(tmp_path, "bounds", cfg)
+    assert message in capsys.readouterr().err
 
 
 def test_unrefined_ladder_exits_2_and_writes_nothing(tmp_path):

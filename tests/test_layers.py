@@ -4,7 +4,8 @@ The modules form one stack, spaces < dimension < bounds < profiles <
 solver < green < cli: each may import only modules below it, so no
 import cycle can arise and none has to be hidden inside a function.
 ``__init__`` and ``__main__`` sit above the stack.  The input rules sit at
-its bottom, in ``spaces``, each defined once for every layer to call.
+its bottom, in ``spaces``, each defined once for every layer to call,
+so no other module raises on a finiteness test of its own.
 """
 
 import ast
@@ -19,7 +20,7 @@ RANK = dict({name: k for k, name in enumerate(ORDER)},
 ROOT_NAMES = {"__version__"}  # what a module may take from the package root
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 RULES = ["_check_exponent", "_check_radii", "_check_positive", "_check_finite",
-         "_check_node_ids"]
+         "_check_dimension", "_check_node_ids"]
 
 
 def _tree(module):
@@ -71,3 +72,13 @@ def test_each_input_rule_has_one_owner(rule):
     owners = [module for module in MODULES for node in ast.walk(_tree(module))
               if isinstance(node, ast.FunctionDef) and node.name == rule]
     assert owners == ["spaces"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "spaces"])
+def test_no_finiteness_rule_outside_spaces(module):
+    # an ``if`` on isfinite that raises is a copy of _check_finite
+    copies = [node.lineno for node in ast.walk(_tree(module))
+              if isinstance(node, ast.If) and "isfinite(" in ast.unparse(node.test)
+              and any(isinstance(inner, ast.Raise)
+                      for stmt in node.body for inner in ast.walk(stmt))]
+    assert not copies, f"{module} raises on its own isfinite test at lines {copies}"

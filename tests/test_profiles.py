@@ -66,9 +66,19 @@ def test_profile_derivative_matches_difference_quotient(prof):
     assert np.abs(prof.deriv(ts) - fd).max() < 1e-5
 
 
+@pytest.mark.parametrize("gap", [0.0, 5e-10, -5e-10])
+def test_power_profile_is_the_log_profile_at_the_tie(gap):
+    # within REGIME_TOL of p = q the shape is the exact a -> 0 limit, where
+    # the power formula would drift by about 1e-7 through cancellation
+    prof, ref = power_profile(0.5, 2.0, 2.0, 2.0 + gap), log_profile(0.5, 2.0)
+    ts = np.linspace(0.0, 2.5, 26)
+    assert prof.kind == "log"
+    assert np.array_equal(prof(ts), ref(ts))
+    assert np.array_equal(prof.deriv(ts), ref.deriv(ts))
+    assert power_profile(0.5, 2.0, 2.0, 2.0 + 1e-6).kind == "power"
+
+
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        power_profile(1.0, 2.0, 2.0, 2.0)  # degenerate exponent
     with pytest.raises(ValueError):
         power_profile(2.0, 1.0, 2.0, 3.0)
     with pytest.raises(ValueError):

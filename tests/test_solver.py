@@ -398,6 +398,17 @@ def test_sandwich_report_below_regime(grid3):
         assert rep.ratio_upper == pytest.approx(3.0 * (1 - x), rel=0.10)
 
 
+def test_sandwich_rejects_a_tied_local_dimension_before_solving(grid2, monkeypatch):
+    # below the critical exponent with q_local = p the upper envelope is
+    # infinite; the ring is refused before any solve, not after one
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran on a ring without a finite envelope")
+
+    monkeypatch.setattr(solver, "relative_capacity", no_solve)
+    with pytest.raises(ValueError, match="q_local = p"):
+        verify_sandwich(grid2, origin_node(grid2), 0.1, 0.4, 2.0, 3.0, q_local=2.0)
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 8.0, 12.0, 16.0])
 def test_converged_solve_is_not_above_its_radial_profile(grid2, p):
     # the radialized profile is admissible, so a converged capacity lies below
