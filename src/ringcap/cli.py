@@ -336,6 +336,8 @@ def _task_bounds(task, space, out, rng):
 
 def _make_profile(kind, r, big_r, p, q):
     if kind == "log":
+        if q is not None:
+            raise ConfigError("'q' applies to the power profile only")
         return log_profile(r, big_r)
     if kind == "power":
         if q is None:

@@ -220,6 +220,9 @@ def line_cfg(task, h=0.04):
                                "p_list": [3.0, 2.0], "q_center": 3.0, "q_local": 2.0})),
     ("sandwich", grid_cfg({"center": [0.0, 0.0], "r": 0.1, "R": 0.4, "p": 2.0,
                            "q_center": 3.0, "q_local": 2.0})),
+    # a 'q' that the log profile would drop
+    ("profile-energy", grid_cfg({"kind": "log", "center": [0.0, 0.0], "r": 0.1,
+                                 "R": 0.4, "p": 2.0, "q": 7.5})),
 ])
 def test_malformed_task_inputs_exit_2_before_any_solve(tmp_path, monkeypatch,
                                                        task, cfg_obj):
@@ -288,6 +291,13 @@ def test_config_errors_carry_the_rule_message(tmp_path, capsys, key, value, mess
                     "p_list": [2.0], "q_center": 2.0}, **{key: value})
     assert_rejected(tmp_path, "bounds", cfg)
     assert message in capsys.readouterr().err
+
+
+def test_a_log_profile_rejects_q(tmp_path, capsys):
+    cfg = grid_cfg({"kind": "log", "center": [0.0, 0.0], "r": 0.1, "R": 0.4,
+                    "p": 2.0, "q": 7.5})
+    assert_rejected(tmp_path, "profile-energy", cfg)
+    assert "'q' applies to the power profile only" in capsys.readouterr().err
 
 
 def test_unrefined_ladder_exits_2_and_writes_nothing(tmp_path):

@@ -5,7 +5,8 @@ solver < green < cli: each may import only modules below it, so no
 import cycle can arise and none has to be hidden inside a function.
 ``__init__`` and ``__main__`` sit above the stack.  The input rules sit at
 its bottom, in ``spaces``, each defined once for every layer to call,
-so no other module raises on a finiteness test of its own.
+so no other module raises on a finiteness test of its own.  Distance rows
+have one owner too: only ``spaces`` searches graphs.
 """
 
 import ast
@@ -82,3 +83,17 @@ def test_no_finiteness_rule_outside_spaces(module):
               and any(isinstance(inner, ast.Raise)
                       for stmt in node.body for inner in ast.walk(stmt))]
     assert not copies, f"{module} raises on its own isfinite test at lines {copies}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_spaces_searches_graphs(module):
+    # every distance row comes from DiscreteSpace.distances_from
+    def names(node):
+        if isinstance(node, ast.ImportFrom):
+            return [f"{node.module}.{a.name}" for a in node.names]
+        return [a.name for a in node.names] if isinstance(node, ast.Import) else []
+
+    searches = [node.lineno for node in ast.walk(_tree(module))
+                if any(name.startswith("scipy.sparse.csgraph") for name in names(node))]
+    assert not searches or module == "spaces", (
+        f"{module} imports scipy.sparse.csgraph at lines {searches}")

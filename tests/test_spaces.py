@@ -638,3 +638,109 @@ def test_symmetric_path_rows_equal_the_undirected_rows(glued2):
         assert row.tobytes() == dijkstra(graph, directed=False, indices=c).tobytes()
         assert row.tobytes() == dijkstra(sp._graph(), directed=False,
                                          indices=c).tobytes()
+
+
+# ----------------------------------------------------------------------
+# rows from the structure of the space: per-axis sums on product grids,
+# breadth-first levels on one-length path graphs
+# ----------------------------------------------------------------------
+
+def _corners(shape):
+    """Node ids of every corner of an index grid of this shape."""
+    ids = np.arange(int(np.prod(shape))).reshape(shape)
+    return ids[np.ix_(*[[0, c - 1] for c in shape])].ravel()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("n,half_extent,h", [
+    (1, 1.0, 0.01), (2, 1.05, 0.01), (3, 0.6, 0.02), (4, 0.3, 0.05)])
+def test_grid_rows_equal_the_one_shot_formula(n, half_extent, h, alpha):
+    space = build_euclidean_grid(n, half_extent, h, alpha=alpha)
+    rng = np.random.default_rng(n)
+    centres = np.concatenate([_corners(space._grid_shape), [space.n_nodes // 2],
+                              rng.choice(space.n_nodes, size=6, replace=False)])
+    for c in centres:
+        row = space.distances_from(int(c))
+        want = _euclidean_one_shot(space.coords[c], space.coords)
+        assert row.tobytes() == want.tobytes(), int(c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nearest_node_off_the_nodes_matches_the_one_shot_argmin(n):
+    # a dyadic step makes the coordinates and the halfway points exact, so a
+    # point halfway between nodes ties them exactly; the lowest id wins
+    h = 0.25
+    space = build_euclidean_grid(n, 1.0, h)
+    shape, rng = space._grid_shape, np.random.default_rng(n)
+    k = int(rng.integers(space.n_nodes))
+    halfway = space.coords[k].copy()
+    halfway[-1] += 0.5 * h if space.coords[k, -1] < 1.0 else -0.5 * h
+    points = [halfway, np.full(n, 0.5 * h), np.full(n, -0.5 * h)]
+    points += list(space.coords[rng.choice(space.n_nodes, size=8)]
+                   + rng.uniform(-0.7 * h, 0.7 * h, size=(8, n)))
+    for point in points:
+        want = int(np.argmin(_euclidean_one_shot(point, space.coords)))
+        assert space.nearest_node(point) == want
+    below = k if halfway[-1] > space.coords[k, -1] else k - 1
+    assert space.nearest_node(halfway) == below
+    assert space.nearest_node(np.full(n, 0.5 * h)) == np.ravel_multi_index(
+        (np.array(shape) - 1) // 2, shape)  # the corner of 2^n tied nodes
+
+
+def _path_copy(space):
+    return DiscreteSpace(space.coords, space.mass, space.edges, space.edge_lengths,
+                         "path", space.resolution)
+
+
+def _disjoint_union(a, b):
+    return DiscreteSpace(np.concatenate([a.coords, b.coords + 10.0]),
+                         np.concatenate([a.mass, b.mass]),
+                         np.concatenate([a.edges, b.edges + a.n_nodes]),
+                         np.concatenate([a.edge_lengths, b.edge_lengths]),
+                         "path", a.resolution)
+
+
+def _no_dijkstra(*args, **kwargs):
+    raise AssertionError("Dijkstra ran on a one-length graph within the budget")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_glued_balls(3, 0.1, 1.0),
+    lambda: _path_copy(build_euclidean_grid(2, 1.28, 0.01, alpha=1.0)),
+    lambda: _disjoint_union(*[_path_copy(build_euclidean_grid(2, 0.64, 0.01))] * 2),
+], ids=["glued3", "loaded_plane", "two_planes"])
+def test_one_length_path_rows_come_from_levels(build, monkeypatch):
+    space = build()
+    graph = space._graph()
+    assert space._hop == space.resolution
+    monkeypatch.setattr(spaces, "dijkstra", _no_dijkstra)
+    labels = space.component_labels()
+    rng = np.random.default_rng(0)
+    half = space.n_nodes // 2
+    for c in (0, half - 1, half, space.n_nodes - 1, *rng.choice(space.n_nodes, 4)):
+        row = space.distances_from(int(c))
+        want = dijkstra(graph, directed=True, indices=int(c))
+        assert row.tobytes() == want.tobytes(), int(c)
+        # the other plane of two is unreachable
+        assert np.array_equal(np.isinf(row), labels != labels[c])
+
+
+def test_a_path_line_past_the_level_budget_takes_dijkstra(monkeypatch):
+    # one node per level: 1,999 levels against a budget of 3,998 / 512 = 7
+    n = 2000
+    line = DiscreteSpace(0.01 * np.arange(n)[:, None], np.ones(n),
+                         np.stack([np.arange(n - 1), np.arange(1, n)], axis=1),
+                         np.full(n - 1, 0.01), "path", 0.01)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["indices"])
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "dijkstra", counted)
+    for c in (0, n // 2, n - 1):
+        row = line.distances_from(c)
+        assert row.tobytes() == dijkstra(line._graph(), directed=True,
+                                         indices=c).tobytes()
+    assert calls == [0, n // 2, n - 1]
+    assert line._hop == 0.01
