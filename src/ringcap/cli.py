@@ -58,33 +58,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(column):
-    """Strings of one column, each as ``_fmt`` would write its entry."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return map(_FMT.__mod__, column.tolist())
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return map(str, column.tolist())
-    return map(_fmt, column)
-
-
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` under ``header``, one CSV row per entry.
 
     ``columns`` is a sequence of sliceable columns (arrays, lists, tuples;
     ``zip(*rows)`` also works).  Rows are formatted and written in blocks
     of ``CSV_BLOCK``, each column sliced to the block first, so no
-    full-length list of numbers or strings is ever held.  Float and integer
-    arrays are formatted one slice at a time; other columns (lists, tuples,
-    bool or object arrays) go entry by entry through ``_fmt``.  The bytes
-    are those of formatting every entry with ``_fmt``.
+    full-length list of numbers or strings is ever held.  Each column sets
+    one field of a row template: ``_FMT`` for a float array, ``%d`` for an
+    integer array, and ``%s`` for any other column (lists, tuples, bool or
+    object arrays), whose entries go through ``_fmt`` first.  A block is
+    one ``%`` of the template, repeated per row, over the block's entries
+    interleaved row by row.  The bytes are those of formatting every entry
+    with ``_fmt``.
     """
     columns = list(columns)
     n_rows = min(map(len, columns), default=0)
+    # a float or integer array's field; None sends a column through _fmt
+    fields = [{"f": _FMT, "i": "%d", "u": "%d"}.get(col.dtype.kind)
+              if isinstance(col, np.ndarray) else None for col in columns]
+    row = ",".join(field or "%s" for field in fields) + "\n"
+    width = len(columns)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_BLOCK):
-            block = [_format_column(col[start:start + CSV_BLOCK]) for col in columns]
-            f.write("\n".join(map(",".join, zip(*block))) + "\n")
+            stop = min(start + CSV_BLOCK, n_rows)
+            flat = [None] * ((stop - start) * width)  # the block's entries, row by row
+            for k, (col, field) in enumerate(zip(columns, fields)):
+                part = col[start:stop]
+                flat[k::width] = part.tolist() if field else map(_fmt, part)
+            f.write(row * (stop - start) % tuple(flat))
 
 
 def _write_json(path: Path, obj):

@@ -221,10 +221,8 @@ def maximum_principle_check(space, sf: SingularFunction) -> MaxPrincipleReport:
     interior = in_domain.copy()
     interior[sf.plate] = False
 
-    nbr_max = np.full(n, -np.inf)
+    nbr_max = space._neighbour_max(g)
     ei, ej = space.edges[:, 0], space.edges[:, 1]
-    np.maximum.at(nbr_max, ei, g[ej])
-    np.maximum.at(nbr_max, ej, g[ei])
     has_nbr = nbr_max > -np.inf
     check = interior & has_nbr
     scale = max(1.0, sf.max_value)

@@ -67,9 +67,10 @@ class RadialProfile:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        out[t <= self.r] = 1.0
-        ring = (t > self.r) & (t < self.R)
+        below = t <= self.r
+        ring = t < self.R
+        ring ^= below  # r < R, so the ball lies in t < R; NaN is in neither
+        out = np.asarray(below, dtype=float)
         out[ring] = np.clip(self._value(t[ring]), 0.0, 1.0)
         return out if out.ndim else float(out)
 

@@ -231,7 +231,8 @@ def _hierarchy(lap, cells):
     a = lap
     while a.shape[0] > COARSEST:
         cells = cells // 3
-        dims = cells.max(axis=0) + 1
+        # per column: max(axis=0) over few columns takes numpy's slow path
+        dims = tuple(int(col.max()) + 1 for col in cells.T)
         boxes, agg = np.unique(np.ravel_multi_index(cells.T, dims),
                                return_inverse=True)
         if boxes.size == a.shape[0]:
@@ -389,13 +390,15 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     del live, touching, rest, du_rest
     c = conductance[kept]
     du_fixed = u[edges[kept, 0]] - u[edges[kept, 1]]
-    # B row by row at its final size: +1 at a free i end, -1 at a free j end
-    ends = ends[kept]
+    # B row by row at its final size: +1 at a free i end, -1 at a free j end.
+    # A free j end is its row's last entry, so the -1s sit at indptr[e+1] - 1.
+    ends = np.take(ends, kept, axis=0)
     free_end = ends >= 0
     del conductance, kept
     indptr = np.zeros(c.size + 1, dtype=np.int32)
     np.cumsum(free_end[:, 0].astype(np.int32) + free_end[:, 1], out=indptr[1:])
-    signs = np.broadcast_to(np.array([1.0, -1.0]), free_end.shape)[free_end]
+    signs = np.ones(indptr[-1])
+    signs[indptr[1:][free_end[:, 1]] - 1] = -1.0
     bt = csr_matrix((signs, ends[free_end], indptr), shape=(c.size, nf)).T.tocsr()
     b = bt.T
     del ends, free_end, indptr, signs
@@ -431,8 +434,9 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     multilevel = (space.metric == "euclidean" and space.coords.shape[1] <= 3
                   and nf > COARSEST)
     if multilevel:
-        coords = space.coords[free_ids]
-        cells = np.rint((coords - coords.min(axis=0)) / lengths.min()).astype(np.int32)
+        coords = np.take(space.coords, free_ids, axis=0)
+        low = [col.min() for col in coords.T]  # per column, as in _hierarchy
+        cells = np.rint((coords - low) / lengths.min()).astype(np.int32)
         diagnostics["preconditioner"] = "multilevel"
         levels = None  # built by the first iteration, kept for the condenser
         del coords

@@ -17,23 +17,26 @@ once per space and used by every query, or by shortest paths over the edge
 graph for path spaces.  Each row is built from the structure the space
 has, and every way gives the same bits.  A grid of
 :func:`build_euclidean_grid` records its index shape, so a Euclidean row
-there is a sum of per-axis squares, and its edge quotients of node values
-are taken by axis slabs, without gathers.  A path graph whose edges share
-one length takes its row from breadth-first levels; a graph of several
-lengths, or one too deep for the level loop, takes Dijkstra.  Every space
-keeps the row of its latest query and hands it out read-only, so the
-calls that re-query one centre share a row; :func:`verify_metric` asks
-for its rows like any other caller, and :meth:`DiscreteSpace.nearest_node`
-at a node of a closed-form space keeps the row it measured.  Ball masses
-for any set of radii come from one pass over a row, without sorting it
-(:meth:`DiscreteSpace.ball_masses`).
+there is a sum of per-axis squares, and its edge quotients and neighbour
+maxima of node values are taken by axis slabs, without gathers.  A path
+graph whose edges share one length takes its row from breadth-first
+levels; a graph of several lengths, or one too deep for the level loop,
+takes Dijkstra.  Every space keeps the row of its latest query and hands
+it out read-only, so the calls that re-query one centre share a row;
+:func:`verify_metric` asks for its rows like any other caller, and
+:meth:`DiscreteSpace.nearest_node` at a node of a closed-form space keeps
+the row it measured.  Ball masses for any set of radii come from one pass
+over a row, without sorting it (:meth:`DiscreteSpace.ball_masses`).
 
 Memory stays near the bytes of the space: the grid builders write their
 arrays in place at final size, and the whole-space evaluations (closed-form
 distance rows off a grid, the edge-length check of a new space, the
 binning of ball masses) run over blocks of ``_EVAL_BLOCK`` rows, each block
 by the same formula as one pass, so every value is bit-identical to an
-unblocked evaluation.  A grid row needs only per-axis temporaries.
+unblocked evaluation.  A grid row needs only per-axis temporaries.  Rows
+of a 2-d array are gathered by ``np.take(..., axis=0)`` and picked by a
+mask with ``np.compress(..., axis=0)``, which copy the same rows without
+numpy's general fancy-index path.
 
 The package's NaN-safe input rules are defined here, at the bottom of the
 import order, once each for every layer to call.
@@ -185,7 +188,8 @@ class DiscreteSpace:
         if metric != "path":
             for start in range(0, edges.shape[0], _EVAL_BLOCK):
                 pairs = edges[start:start + _EVAL_BLOCK]
-                d = self._formula(coords[pairs[:, 0]], coords[pairs[:, 1]])
+                d = self._formula(np.take(coords, pairs[:, 0], axis=0),
+                                  np.take(coords, pairs[:, 1], axis=0))
                 err = np.abs(d - edge_lengths[start:start + _EVAL_BLOCK])
                 err /= np.maximum(1.0, np.abs(d))
                 if not np.all(err <= 1e-12):  # NaN-safe
@@ -251,6 +255,31 @@ class DiscreteSpace:
             np.maximum(La[1:], q, out=La[1:])
             at += size
         return g, lip.ravel()
+
+    def _neighbour_max(self, u):
+        """Per node the largest value of u over its edge neighbours, or
+        -inf at a node without edges.
+
+        A grid of :func:`build_euclidean_grid` takes it by axis slabs, as
+        :meth:`_edge_quotients` does: along each axis ``M[:-1]`` takes the
+        maximum with ``U[1:]`` and ``M[1:]`` with ``U[:-1]``, in place.
+        Every other space scatters the gathered neighbour values by
+        ``np.maximum.at``.  A maximum is exact in any order, so both paths
+        give the same values; only a tie of +0.0 and -0.0 may keep either.
+        """
+        if self._grid_shape is None:
+            i, j = self.edges[:, 0], self.edges[:, 1]
+            top = np.full(self.n_nodes, -np.inf)
+            np.maximum.at(top, i, u[j])
+            np.maximum.at(top, j, u[i])
+            return top
+        U = u.reshape(self._grid_shape)
+        top = np.full(self._grid_shape, -np.inf)
+        for ax in range(U.ndim):
+            Ua, Ma = np.moveaxis(U, ax, 0), np.moveaxis(top, ax, 0)
+            np.maximum(Ma[:-1], Ua[1:], out=Ma[:-1])
+            np.maximum(Ma[1:], Ua[:-1], out=Ma[1:])
+        return top.ravel()
 
     def component_labels(self) -> np.ndarray:
         """Component label of each node in the graph of the edges with
@@ -479,7 +508,8 @@ def _edge_components(n, edges, keep):
     j = np.empty_like(i)
     filled = 0
     for start in range(0, keep.size, _EVAL_BLOCK):
-        pairs = edges[start:start + _EVAL_BLOCK][keep[start:start + _EVAL_BLOCK]]
+        pairs = np.compress(keep[start:start + _EVAL_BLOCK],
+                            edges[start:start + _EVAL_BLOCK], axis=0)
         stop = filled + pairs.shape[0]
         i[filled:stop], j[filled:stop] = pairs.T
         filled = stop
@@ -598,7 +628,7 @@ def _masked_grid_edges(index_shape, inside):
     """The edges of :func:`_grid_edges` with both ends inside the node mask,
     in the same order, renumbered to the order of the kept nodes."""
     edges = _grid_edges(index_shape)
-    edges = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    edges = np.compress(inside[edges[:, 0]] & inside[edges[:, 1]], edges, axis=0)
     new_id = np.cumsum(inside, dtype=np.int64) - 1  # of the kept nodes
     return new_id[edges]
 

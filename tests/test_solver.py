@@ -203,6 +203,30 @@ def test_repeated_edge_acts_as_one_with_summed_conductance(p):
     assert res.value == pytest.approx(series, rel=1e-8)
 
 
+@pytest.mark.parametrize("h", [0.05, 0.01])  # Jacobi and multilevel
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_edge_orientation_changes_no_bit_of_a_solve(h, p):
+    # B has +1 at a free i end and -1 at a free j end.  Reversing an edge
+    # negates its row of B and its fixed slope, so B^T W B, the right-hand
+    # side and the flows sum the same terms in the same order; a sign in
+    # the wrong slot of a row shows as a different solve.
+    sp = build_euclidean_grid(2, 0.55, h)
+    flipped = sp.edges.copy()
+    flipped[::2] = flipped[::2, ::-1]
+    solves = []
+    for edges in (sp.edges, flipped):
+        space = DiscreteSpace(sp.coords, sp.mass, edges, sp.edge_lengths,
+                              "euclidean", h)
+        solves.append(solve_condenser(space, ring_condenser(space, origin_node(space),
+                                                            0.1, 0.5), p))
+    a, b = solves
+    assert a.converged and b.converged
+    assert a.diagnostics["preconditioner"] == ("jacobi" if h == 0.05 else "multilevel")
+    assert a.value == b.value
+    assert np.array_equal(a.u, b.u)
+    assert a.diagnostics["cg_iters"] == b.diagnostics["cg_iters"] > 0
+
+
 def test_edge_between_massless_nodes_joins_no_components():
     # the edge 2 - 3 has mass 0: {1, 2} sees only the plate, {3} only node 4
     sp = unit_chain(np.array([1.0, 1.0, 0.0, 0.0, 1.0]))

@@ -342,18 +342,42 @@ def test_ball_masses_match_the_unchunked_table(heis_probe, count):
     assert np.array_equal(got, _unchunked_ball_masses(row, space.mass, radii))
 
 
+def _unit_line(n, mass=None):
+    """Nodes 0, ..., n - 1 on a line, joined by the n - 1 unit edges."""
+    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    return DiscreteSpace(np.arange(n, dtype=float)[:, None],
+                         np.ones(n) if mass is None else mass, edges,
+                         np.ones(n - 1), "euclidean", 1.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_euclidean_grid(2, 0.7, 0.005),
     lambda: build_heisenberg_grid(0.4, 0.05),
-], ids=["euclidean", "koranyi"])
+    lambda: _unit_line(spaces._EVAL_BLOCK + 4),  # a last block of 3 edges
+], ids=["euclidean", "koranyi", "line"])
 def test_a_wrong_edge_length_in_the_last_block_raises(build):
     space = build()
-    assert space.n_edges > 2 * spaces._EVAL_BLOCK
+    assert space.n_edges > spaces._EVAL_BLOCK
+    assert space.n_edges % spaces._EVAL_BLOCK  # the last block is partial
     lengths = space.edge_lengths.copy()
     lengths[-1] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="edge lengths disagree with the metric"):
         DiscreteSpace(space.coords, space.mass, space.edges, lengths,
                       space.metric, space.resolution)
+
+
+def test_zero_mass_edges_in_the_last_block_join_nothing():
+    # a line of _EVAL_BLOCK + 3 edges: the edges between massless nodes,
+    # one in the first block and two in the last, cut it into four pieces
+    n = spaces._EVAL_BLOCK + 4
+    mass = np.ones(n)
+    mass[[10, 11, n - 4, n - 3, n - 2]] = 0.0
+    space = _unit_line(n, mass)
+    kept = (mass[:-1] > 0) | (mass[1:] > 0)
+    # on a line, a node's component counts the cut edges before it
+    want = np.concatenate([[0], np.cumsum(~kept)])
+    assert np.array_equal(np.unique(want), np.arange(4))
+    assert np.array_equal(space.component_labels(), want)
 
 
 def _traced_peak(fn):
