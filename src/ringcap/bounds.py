@@ -23,7 +23,7 @@ log shape there, and the below-regime upper envelope raises at q_local = p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,7 +137,7 @@ class RegimeEstimate:
     q_center: float
     q_local: float
     mass_inner: float
-    constants: dict = field(default_factory=dict)
+    constants: dict
 
 
 def estimate_ring(r, R, p, q_center, mass_inner, q_local=None) -> RegimeEstimate:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .bounds import estimate_ring, regime
 from .dimension import analyze_dimension, fit_power_law
-from .green import blowup_trend, build_green, check_level_sets
+from .green import _check_ladder, blowup_trend, build_green, check_level_sets
 from .profiles import dyadic_shell_energy, log_profile, p_energy, power_profile, radialize
 from .solver import relative_capacity, singleton_capacity_limit, verify_sandwich
 from .spaces import (
@@ -454,11 +454,13 @@ def _task_green(task, space_spec, out, rng):
     q_center = task.number("q_center", None, _check_dimension)
     tol = _tolerance(task)
     task.done()
-    if refine is not None and q_center is None:
-        raise ConfigError("'refine_h' requires 'q_center'")
-    if refine is not None and space_spec["kind"] == "file":
-        raise ConfigError("'refine_h' needs a space built from a grid step 'h', "
-                          "not a file")
+    if refine is not None:
+        if q_center is None:
+            raise ConfigError("'refine_h' requires 'q_center'")
+        if space_spec["kind"] == "file":
+            raise ConfigError("'refine_h' needs a space built from a grid step 'h', "
+                              "not a file")
+        _check_ladder(refine)  # before any solve
     sf = build_green(space, space.ball(center, big_r), center, p, rho=rho, tol=tol)
     pairs = [(a * sf.max_value, b * sf.max_value) for a, b in fractions]
     levels_rep = check_level_sets(space, sf, pairs, tol=tol)

@@ -17,7 +17,7 @@ inputs are rejected like any other invalid value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,12 +222,12 @@ class DimensionReport:
 
     c_doubling: float
     q_local: float
-    q_point: dict = field(default_factory=dict)
-    fit_residual: float = 0.0
-    lower_c: float = np.nan
-    upper_c: float = np.nan
-    radii: np.ndarray = None
-    samples: list = field(default_factory=list)  # (node, radius, ball_mass)
+    q_point: dict
+    fit_residual: float
+    lower_c: float
+    upper_c: float
+    radii: np.ndarray
+    samples: list  # (node, radius, ball_mass)
 
 
 def analyze_dimension(space, sample_nodes, r_max, point_nodes=None,
@@ -242,28 +242,24 @@ def analyze_dimension(space, sample_nodes, r_max, point_nodes=None,
     if point_nodes is None:
         point_nodes = sample_nodes[:3]
     point_nodes = np.atleast_1d(np.asarray(point_nodes, dtype=np.int64))
+    if sample_nodes.size == 0 or point_nodes.size == 0:
+        raise ValueError("need nonempty sample and point node sets")
     if not 10.0 * _radius_floor(space) <= r_max < np.inf:
         raise ValueError("r_max must be finite and at least 50 grid steps for a decade span")
     c = doubling_constant(space, sample_nodes, r_max)
     q_local = local_dimension(c)
     radii = np.geomspace(r_max / 10.0, r_max, n_radii)
-    report = DimensionReport(c, q_local, radii=radii)
-    worst_resid = 0.0
-    lo_c, hi_c = np.inf, 0.0
+    q_point, samples = {}, []
+    worst_resid, lo_c, hi_c = 0.0, np.inf, 0.0
     for x in point_nodes:
         fit = pointwise_dimension(space, int(x), radii)
-        report.q_point[int(x)] = fit.slope
+        q_point[int(x)] = fit.slope
         worst_resid = max(worst_resid, fit.residual)
         sandwich = check_volume_bounds(space, int(x), r_max, q_local, fit.slope,
                                        radii=radii)
         lo_c = min(lo_c, sandwich.c_lower)
         hi_c = max(hi_c, sandwich.c_upper)
         masses = space.ball_masses(int(x), radii)
-        report.samples.extend(
-            (int(x), float(r), float(m)) for r, m in zip(radii, masses)
-        )
-    report.fit_residual = worst_resid
-    report.lower_c = lo_c
-    report.upper_c = hi_c
-    return report
+        samples.extend((int(x), float(r), float(m)) for r, m in zip(radii, masses))
+    return DimensionReport(c, q_local, q_point, worst_resid, lo_c, hi_c, radii, samples)
 

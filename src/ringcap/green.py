@@ -124,13 +124,9 @@ def check_level_sets(space, sf: SingularFunction, pairs, tol=1e-6,
             raise ValueError("need 0 <= a < b in each level pair")
         upper = np.nonzero(g >= b * (1.0 - 1e-12))[0]
         lower = np.nonzero(g > a)[0]
-        if upper.size == 0:
-            notices.append(f"level {b:g} above the pole value; pair skipped")
-            entries.append((a, b, None, None))
-            results.append(None)
-            continue
-        if lower.size == upper.size:
-            notices.append(f"levels {a:g}..{b:g} leave no free nodes; pair skipped")
+        if upper.size == 0 or lower.size == upper.size:
+            notices.append(f"level {b:g} above the pole value; pair skipped" if upper.size == 0
+                           else f"levels {a:g}..{b:g} leave no free nodes; pair skipped")
             entries.append((a, b, None, None))
             results.append(None)
             continue
@@ -169,6 +165,14 @@ class TrendReport:
         return self.bounded_change <= 0.1
 
 
+def _check_ladder(hs):
+    """The grid steps of a refinement ladder: at least three, decreasing."""
+    if len(hs) < 3:
+        raise ValueError("need at least three resolution levels")
+    if not np.all(np.diff(hs) < 0):
+        raise ValueError("resolution levels must be strictly refining")
+
+
 def blowup_trend(levels, p, q_center, tol=1e-6) -> TrendReport:
     """Track the pole value of the singular function as the grid refines.
 
@@ -178,11 +182,8 @@ def blowup_trend(levels, p, q_center, tol=1e-6) -> TrendReport:
     construction shrinks with h.
     """
     levels = list(levels)
-    if len(levels) < 3:
-        raise ValueError("need at least three resolution levels")
     hs = np.array([space.resolution for space, _, _ in levels])
-    if not np.all(np.diff(hs) < 0):
-        raise ValueError("resolution levels must be strictly refining")
+    _check_ladder(hs)
     gmax, converged = np.zeros(hs.size), np.zeros(hs.size, dtype=bool)
     for k, (space, domain, center) in enumerate(levels):
         sf = build_green(space, domain, center, p, tol=tol)

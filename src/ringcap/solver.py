@@ -72,7 +72,7 @@ a fixed outer radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -142,13 +142,16 @@ class CapacityResult:
     ``u`` is the node potential; ``value`` is its edge-form p-energy as
     the solve evaluated it, the last entry of ``energy_trace``.
     ``residual`` is the final constrained-gradient max-norm relative to its
-    value at the cold start.  ``diagnostics`` holds the energy after each
-    iteration (``energy_trace``), the accepted step lengths (``steps``), the
-    CG iterations summed over the solve (``cg_iters``), why the solve ended
-    (``stop_reason``: ``converged``, ``max_iter`` or ``stagnated``, when a
-    step left the potential unchanged), the CG preconditioner
-    (``preconditioner``: ``jacobi`` or ``multilevel``), and the
-    ``descent_ok`` and ``range_ok`` checks.
+    value at the cold start.  Every solve's ``diagnostics`` has the same
+    keys: the free nodes held at 1 (``plateau_nodes``) and at 0
+    (``unreachable_nodes``) without a solve, the energy at the start and
+    after each iteration (``energy_trace``), ``backtracks`` (0 since the
+    exact line search), the accepted step lengths (``steps``), the CG
+    iterations of the solve (``cg_iters``), why it ended (``stop_reason``:
+    ``converged``, ``max_iter``, or ``stagnated`` when a step left the
+    potential unchanged), the CG ``preconditioner`` (``jacobi`` or
+    ``multilevel``), and ``u_min`` and ``u_max`` with the ``descent_ok``
+    and ``range_ok`` checks.
     """
 
     value: float
@@ -156,7 +159,7 @@ class CapacityResult:
     iterations: int
     residual: float
     converged: bool
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def _line_search(c, a, b, p, t_max, slope0):
@@ -354,16 +357,8 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     u = np.zeros(n)
     u[inner] = 1.0
     u[plateau] = 1.0
-    diagnostics = {
-        "plateau_nodes": plateau.size,
-        "unreachable_nodes": int(free.size - np.count_nonzero(reached)),
-        "energy_trace": [],
-        "backtracks": 0,  # none since the exact line search; kept for readers
-        "steps": [],
-        "cg_iters": 0,
-        "stop_reason": "converged",
-        "preconditioner": "jacobi",
-    }
+    plateau_nodes = plateau.size
+    unreachable_nodes = int(free.size - np.count_nonzero(reached))
     del free, free_labels, reached, solved, plateau
 
     # Free index: place in x, or -1 for a fixed node.  The live edges with a
@@ -408,11 +403,6 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         top = min(power.max(initial=0.0), 1.0 / WEIGHT_FLOOR)
         return energy, bt @ flow, np.clip(power, WEIGHT_FLOOR * top, top)
 
-    if nf == 0:
-        energy = edge_state(du_fixed)[0]
-        diagnostics["energy_trace"].append(energy)
-        return CapacityResult(energy, u, 0, 0.0, True, diagnostics)
-
     def assemble(weights):
         """The weighted Laplacian B^T W B and its right-hand side, the pull
         of the fixed ends on the free ones."""
@@ -422,8 +412,11 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         del cw  # not held through the product
         return btw @ b, -(btw @ du_fixed)
 
+    cg_iters = 0
+
     def count_cg(_xk):
-        diagnostics["cg_iters"] += 1
+        nonlocal cg_iters
+        cg_iters += 1
 
     # Coordinate boxes coarsen the unknowns of a Euclidean space of at most
     # three coordinates, at any p; elsewhere (gauge lattices, path metrics,
@@ -436,7 +429,6 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
         cells = np.rint((coords - low) / lengths.min()).astype(np.int32)
         del coords
         levels = _hierarchy(cells)  # box maps; each iteration fills them
-        diagnostics["preconditioner"] = "multilevel"
         del cells
 
     rtol = max(tol / 10.0, 1e-13)
@@ -448,17 +440,17 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
     du = du_fixed
     energy, grad, _ = edge_state(du)
     shape = np.ones(c.size)  # harmonic initialization
-    g_scale = max(np.abs(grad).max(), 1e-300)
+    g_scale = max(np.abs(grad).max(initial=0.0), 1e-300)
     if x0 is not None:
         x = np.clip(x0[free_ids], 0.0, 1.0)
         du = b @ x + du_fixed
         energy, grad, shape = edge_state(du)
-    diagnostics["energy_trace"].append(energy)
+    trace, steps = [energy], []
 
-    converged = False
-    residual = 1.0
+    # With no free node the constraints fix u, and the loop is skipped.
+    stop, residual = ("max_iter", 1.0) if nf else ("converged", 0.0)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, max_iter + 1 if nf else 1):
         # Correction of the IRLS step: L_w delta = b_w - L_w x.  Since
         # L_w x - b_w = grad / p, the floor rtol * g_scale / p keeps CG
         # iterating for as long as the outer gradient test can still fail.
@@ -491,29 +483,36 @@ def solve_condenser(space, condenser, p, tol=1e-6, max_iter=100,
             if moved:
                 x, du, grad, shape = x_new, du_new, grad_new, shape_new
                 energy_new = energy_try
-                diagnostics["steps"].append(t)
-        diagnostics["energy_trace"].append(energy_new)
+                steps.append(t)
+        trace.append(energy_new)
 
         residual = np.abs(grad).max() / g_scale
         rel_dec = (energy - energy_new) / max(energy, 1e-300)
         energy = energy_new
         if residual < tol and (p == 2 or rel_dec < tol):
-            converged = True
+            stop = "converged"
             break
         if not moved:
-            diagnostics["stop_reason"] = "stagnated"
+            stop = "stagnated"
             break
-    else:
-        diagnostics["stop_reason"] = "max_iter"
 
     u[free_ids] = x
-    trace = diagnostics["energy_trace"]
-    descent_ok = all(b <= a * (1.0 + 1e-12) + 1e-300 for a, b in zip(trace, trace[1:]))
-    diagnostics["descent_ok"] = bool(descent_ok)
-    diagnostics["u_min"] = float(u.min())
-    diagnostics["u_max"] = float(u.max())
-    diagnostics["range_ok"] = bool(u.min() >= -1e-6 and u.max() <= 1.0 + 1e-6)
-    return CapacityResult(energy, u, iterations, float(residual), converged,
+    u_min, u_max = float(u.min()), float(u.max())
+    diagnostics = {
+        "plateau_nodes": plateau_nodes,
+        "unreachable_nodes": unreachable_nodes,
+        "energy_trace": trace,
+        "backtracks": 0,  # none since the exact line search; kept for readers
+        "steps": steps,
+        "cg_iters": cg_iters,
+        "stop_reason": stop,
+        "preconditioner": "jacobi" if levels is None else "multilevel",
+        "descent_ok": all(b <= a * (1.0 + 1e-12) + 1e-300
+                          for a, b in zip(trace, trace[1:])),
+        "u_min": u_min, "u_max": u_max,
+        "range_ok": u_min >= -1e-6 and u_max <= 1.0 + 1e-6,
+    }
+    return CapacityResult(energy, u, iterations, float(residual), stop == "converged",
                           diagnostics)
 
 

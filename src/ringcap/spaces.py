@@ -44,7 +44,7 @@ import order, once each for every layer to call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -920,7 +920,7 @@ class MetricReport:
     max_symmetry_error: float
     max_triangle_violation: float
     passed: bool
-    failures: list = field(default_factory=list)
+    failures: list
 
 
 def verify_metric(space, samples=200, seed=0):

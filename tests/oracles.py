@@ -66,6 +66,25 @@ def koranyi_ball_volume(r):
     return val
 
 
+def gauge_ring_capacity(r, R):
+    """Continuum 2-capacity of the gauge ring r < N < R in the Heisenberg
+    group, N = (|z|^4 + 16 t^2)^(1/4), with horizontal fields
+    X = d_x - (y/2) d_t and Y = d_y + (x/2) d_t.
+
+    N^-2 is harmonic for X^2 + Y^2 and |grad_H N|^2 = |z|^2 / N^2, so the
+    minimizer is u = (N^-2 - R^-2) / (r^-2 - R^-2), with |grad_H u|^2 =
+    4 N^-6 |z|^2 / N^2 / (r^-2 - R^-2)^2.  The dilation (z, t) -> (s z, s^2 t)
+    scales |z|^2 dV by s^6, so the integral of |z|^2 over N < s is
+    s^6 pi / 6: over N < 1, |t| < sqrt(1 - |z|^4) / 4, and
+    int_0^1 2 pi w w^2 sqrt(1 - w^4) / 2 dw = pi / 6.  Integrating the
+    energy density shell by shell, d(s^6 pi / 6) / s^2 = pi s^3 ds, gives
+
+        cap = 4 pi / (r^-2 - R^-2)^2 * int_r^R s^-3 ds
+            = 2 pi / (r^-2 - R^-2) = 2 pi r^2 R^2 / (R^2 - r^2).
+    """
+    return 2.0 * math.pi * r * r * R * R / (R * R - r * r)
+
+
 def series_capacity(conductances, p):
     """Exact p-capacity of edges in series under a unit potential drop.
 

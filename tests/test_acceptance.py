@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import radial_ring_capacity
+from oracles import gauge_ring_capacity, radial_ring_capacity
 from ringcap import (
     DiscreteSpace,
     blowup_trend,
@@ -188,7 +188,10 @@ def test_c05_group_lattice_capacity_scaling(group_sweep):
     caps = np.array([row[1] for row in group_sweep])
     slope = fit_power_law(radii, caps).slope
     ok = abs(slope - 2.0) <= 0.2
-    detail = f"capacity ~ r^{slope:.4f} on the group lattice, want 2 +/- 0.2"
+    oracle = ", ".join(f"{c / gauge_ring_capacity(r, 0.45):.3f}"
+                       for r, c in zip(radii, caps))
+    detail = (f"capacity ~ r^{slope:.4f} on the group lattice, want 2 +/- 0.2; "
+              f"cap/exact {oracle}")
     assert record(5, ok, detail), detail
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from ringcap import cli, green, solver
+from ringcap.profiles import p_energy, power_profile, radialize
 from ringcap.spaces import build_euclidean_grid, save_space
 
 
@@ -298,6 +299,55 @@ def test_a_log_profile_rejects_q(tmp_path, capsys):
                     "p": 2.0, "q": 7.5})
     assert_rejected(tmp_path, "profile-energy", cfg)
     assert "'q' applies to the power profile only" in capsys.readouterr().err
+
+
+def test_dimension_without_points_exits_2(tmp_path, capsys):
+    # an empty point set once wrote "lower_c": Infinity, which is not JSON
+    cfg = grid_cfg({"r_max": 0.6, "points": []}, half=1.05, h=0.01)
+    assert_rejected(tmp_path, "dimension", cfg)
+    assert "nonempty sample and point node sets" in capsys.readouterr().err
+
+
+def test_power_profile_energy_is_the_library_energy(tmp_path):
+    cfg = grid_cfg({"kind": "power", "center": [0.0, 0.0], "r": 0.1, "R": 0.4,
+                    "p": 3.0, "q": 2.5})
+    out = tmp_path / "out"
+    assert cli.run("profile-energy", write_cfg(tmp_path, cfg), str(out), quiet=True) == 0
+    with open(out / "profile_energy.csv") as fh:
+        row, = csv.DictReader(fh)
+    sp = build_euclidean_grid(2, 0.55, 0.05)
+    c = sp.nearest_node([0.0, 0.0])
+    fld = radialize(sp, c, power_profile(0.1, 0.4, 3.0, 2.5))
+    assert row["kind"] == "power"
+    assert float(row["energy_edge"]) == p_energy(sp, fld, 3.0).edge
+
+
+@pytest.mark.parametrize("task,message", [
+    ({"kind": "power"}, "power profile needs 'q'"),
+    ({"kind": "cubic", "q": 2.5}, "unknown profile kind 'cubic'"),
+])
+def test_profile_kind_errors_exit_2(tmp_path, capsys, task, message):
+    cfg = grid_cfg(dict(task, center=[0.0, 0.0], r=0.1, R=0.4, p=3.0))
+    assert_rejected(tmp_path, "profile-energy", cfg)
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("refine_h", [[0.04, 0.02, 0.05], [0.04, 0.01]])
+def test_green_ladder_is_checked_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                  refine_h):
+    solves, builds = [], []
+    monkeypatch.setattr(green, "solve_condenser",
+                        lambda *args, **kwargs: solves.append(args))
+    build = cli.build_space
+    monkeypatch.setattr(cli, "build_space",
+                        lambda spec: builds.append(spec) or build(spec))
+    assert_rejected(tmp_path, "green", grid_cfg(
+        {"center": [0.0, 0.0], "R": 0.4, "p": 2.0, "q_center": 2.0,
+         "refine_h": refine_h}, h=0.02))
+    err = capsys.readouterr().err
+    assert ("strictly refining" in err) == (len(refine_h) == 3)
+    assert ("at least three resolution levels" in err) == (len(refine_h) == 2)
+    assert not solves and len(builds) == 1  # the task's own space only
 
 
 def test_unrefined_ladder_exits_2_and_writes_nothing(tmp_path):

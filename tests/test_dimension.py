@@ -95,6 +95,13 @@ def test_analyze_dimension_bundle(grid2_fine):
         analyze_dimension(grid2_fine, [c], 0.25)  # under 50 grid steps
 
 
+@pytest.mark.parametrize("samples, points", [([0], []), ([], None), ([], [0])])
+def test_analyze_dimension_rejects_empty_node_sets(grid2_fine, samples, points):
+    # an empty point set would leave the volume constants at inf and 0
+    with pytest.raises(ValueError, match="nonempty sample and point node sets"):
+        analyze_dimension(grid2_fine, samples, 0.6, point_nodes=points)
+
+
 def test_ahlfors_regular_plane(grid2_fine):
     c = origin_node(grid2_fine)
     off = grid2_fine.nearest_node([0.5, 0.3])

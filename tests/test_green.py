@@ -1,5 +1,7 @@
 """Singular (Green-type) functions: construction, levels, trends."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,52 @@ def test_vanishes_outside_and_positive_inside(plane_green):
     assert rep.positive_ok
     assert rep.min_component_value > 0
     assert rep.worst_excess <= 1e-9
+
+
+def test_scattered_neighbour_maxima_are_the_per_node_maxima(cone2):
+    # the double cone records no grid layout, so its maxima are scattered
+    assert cone2._grid_shape is None
+    u = np.random.default_rng(3).uniform(-1.0, 1.0, cone2.n_nodes)
+    want = np.full(cone2.n_nodes, -np.inf)
+    for i, j in cone2.edges.tolist():
+        want[i] = max(want[i], u[j])
+        want[j] = max(want[j], u[i])
+    assert cone2._neighbour_max(u).tobytes() == want.tobytes()
+
+
+def test_scattered_neighbour_maxima_equal_the_slabs_bit_for_bit(monkeypatch):
+    sp = build_euclidean_grid(2, 0.55, 0.05)
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, sp.n_nodes)
+    slabs = sp._neighbour_max(u)
+    monkeypatch.setattr(sp, "_grid_shape", None)
+    assert sp._neighbour_max(u).tobytes() == slabs.tobytes()
+
+
+def _interior_node(g, sf, radius):
+    """A node of the domain outside the pole plate, about ``radius`` from the pole."""
+    node = g.nearest_node(g.coords[sf.center] + [radius, 0.0])
+    assert node in sf.domain and node not in sf.plate
+    return node
+
+
+def test_a_spiked_interior_value_fails_the_maximum_principle(plane_green):
+    g, domain, c, sf = plane_green
+    k = _interior_node(g, sf, 0.5)
+    spiked = sf.values.copy()
+    spiked[k] = g._neighbour_max(sf.values)[k] + 0.25
+    rep = maximum_principle_check(g, dataclasses.replace(sf, values=spiked))
+    assert not rep.passed and rep.positive_ok
+    assert rep.worst_excess == spiked[k] - g._neighbour_max(spiked)[k]
+    assert rep.worst_excess == pytest.approx(0.25, rel=1e-12)
+
+
+def test_a_zero_on_the_pole_component_fails_positivity(plane_green):
+    g, domain, c, sf = plane_green
+    zeroed = sf.values.copy()
+    zeroed[_interior_node(g, sf, 0.5)] = 0.0
+    rep = maximum_principle_check(g, dataclasses.replace(sf, values=zeroed))
+    assert not rep.positive_ok and not rep.passed
+    assert rep.min_component_value == 0.0
 
 
 def test_defining_pair_ratio_is_one(plane_green):

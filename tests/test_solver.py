@@ -163,6 +163,20 @@ def test_whole_space_domain_has_zero_capacity_plateau(patch2):
     assert np.all(res.u == 1.0)
 
 
+def test_whole_space_domain_reports_like_a_ring_solve(patch2):
+    # no free node is reached, so the solve skips its loop, but its report
+    # has the keys of every other solve
+    c = origin_node(patch2)
+    res = solve_condenser(patch2, Condenser([c], np.arange(patch2.n_nodes)), 2.0)
+    ring = solve_condenser(patch2, ring_condenser(patch2, c, 0.15, 0.5), 2.0)
+    assert res.diagnostics.keys() == ring.diagnostics.keys()
+    assert res.value == res.diagnostics["energy_trace"][-1]
+    assert res.converged and res.diagnostics["stop_reason"] == "converged"
+    assert (res.iterations, res.residual, res.diagnostics["cg_iters"]) == (0, 0.0, 0)
+    assert res.diagnostics["descent_ok"] and res.diagnostics["range_ok"]
+    assert (res.diagnostics["u_min"], res.diagnostics["u_max"]) == (1.0, 1.0)
+
+
 def test_disconnected_component_is_reported_unreachable():
     # two separate chains; the condenser lives entirely on the first
     xs = np.concatenate([np.linspace(0.0, 1.0, 11), np.linspace(5.0, 5.4, 5)])
