@@ -174,7 +174,6 @@ def riesz_potential(space, field, node, center, r, p) -> float:
     if ball.size == 0:
         return 0.0
     ball_mass_at = space.ball_masses(node, dx[ball])
-    if np.any(ball_mass_at <= 0):
-        raise ValueError("zero-mass ball encountered in the potential sum")
+    _check_positive(ball_mass_at, f"ball masses at node {node}")
     terms = field.lip[ball] ** p * dx[ball] / ball_mass_at * space.mass[ball]
     return float((r ** (p - 1.0) * terms.sum()) ** (1.0 / p))

@@ -10,9 +10,11 @@ Everything here reduces to counting measure in metric balls:
   ``(r / r_ref)^q`` envelopes implied by a local and a pointwise exponent;
 * Ahlfors regularity ratios ``mu(B(x, r)) / r^q``.
 
-Radii below five grid steps are rejected: a ball that small holds a
-handful of nodes and its mass carries no geometric information.  NaN
-inputs are rejected like any other invalid value.
+Each estimator reads a node's masses in one ``DiscreteSpace.ball_masses``
+sweep and requires all of them positive; the sandwich's reference mass comes
+from that sweep too.  Radii below five grid steps are rejected: a ball that
+small holds a handful of nodes and its mass carries no geometric
+information.  NaN inputs are rejected like any other invalid value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _check_finite, _check_positive
+from .spaces import _check_finite, _check_positive, _check_radius_floor, _radius_floor
 
 __all__ = [
     "PowerLawFit",
@@ -69,8 +71,21 @@ def fit_power_law(x, y) -> PowerLawFit:
     return PowerLawFit(float(slope), float(intercept), float(np.abs(resid - 1.0).max()))
 
 
-def _radius_floor(space) -> float:
-    return 5.0 * space.resolution
+def _ball_masses(space, node, radii):  # one sweep, every mass positive
+    masses = space.ball_masses(node, radii)
+    _check_positive(masses, f"ball masses at node {node}")
+    return masses
+
+
+def _check_sweep(radii, space):  # four or more, increasing over a decade, from 5h
+    if radii.size < 4:
+        raise ValueError("need at least four radii")
+    _check_positive(radii, "radii")
+    if np.any(np.diff(radii) <= 0):
+        raise ValueError("radii must be strictly increasing")
+    if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):
+        raise ValueError("radii must span at least one decade")
+    _check_radius_floor(radii[0], space)
 
 
 def doubling_constant(space, sample_nodes, r_max) -> float:
@@ -89,9 +104,7 @@ def doubling_constant(space, sample_nodes, r_max) -> float:
     radii = np.geomspace(floor, r_max / 2.0, 12)
     best = 0.0
     for x in sample_nodes:
-        inner, outer = space.ball_masses(int(x), [radii, 2.0 * radii])
-        if np.any(inner <= 0):
-            raise ValueError(f"zero-mass ball at node {int(x)}")
+        inner, outer = _ball_masses(space, int(x), [radii, 2.0 * radii])
         best = max(best, float((outer / inner).max()))
     return best
 
@@ -115,19 +128,8 @@ def pointwise_dimension(space, node, radii) -> PowerLawFit:
     pointwise dimension estimate.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.size < 4:
-        raise ValueError("need at least four radii")
-    _check_positive(radii, "radii")
-    if np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
-    if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):
-        raise ValueError("radii must span at least one decade")
-    if radii[0] < _radius_floor(space) * (1.0 - 1e-12):
-        raise ValueError("radii below five grid steps are unreliable")
-    masses = space.ball_masses(node, radii)
-    if np.any(masses <= 0):
-        raise ValueError("empty or massless ball in the radius sweep")
-    return fit_power_law(radii, masses)
+    _check_sweep(radii, space)
+    return fit_power_law(radii, _ball_masses(space, node, radii))
 
 
 @dataclass
@@ -164,23 +166,22 @@ def check_volume_bounds(space, node, r_ref, q_local, q_point,
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii > 0) & (radii <= r_ref * (1 + 1e-12))):
         raise ValueError("radii must lie in (0, r_ref]")
-    ref_mass = space.ball_mass(node, r_ref)
-    if ref_mass <= 0:
-        raise ValueError("reference ball has zero mass")
-    masses = space.ball_masses(node, radii)
-    if np.any(masses <= 0):
-        raise ValueError("zero-mass ball in radius sweep")
-    ratios = masses / ref_mass
-    t = radii / r_ref
-    c_lower = float(np.exp(np.mean(np.log(ratios) - q_local * np.log(t))))
-    c_upper = float(np.exp(np.mean(np.log(ratios) - q_point * np.log(t))))
-    lower_env = c_lower * t**q_local
-    upper_env = c_upper * t**q_point
-    worst_lower = float((lower_env / ratios).max())
-    worst_upper = float((ratios / upper_env).max())
-    passed = worst_lower <= 1.2 and worst_upper <= 1.2
-    return VolumeSandwich(passed, c_lower, c_upper, worst_lower, worst_upper,
-                          radii, ratios)
+    masses = _ball_masses(space, node, np.append(radii, r_ref))
+    ratios = masses[:-1] / masses[-1]
+    envelopes = _envelopes(radii / r_ref, ratios, q_local, q_point)
+    passed = max(envelopes[2:]) <= 1.2  # neither worst factor above 1.2
+    return VolumeSandwich(passed, *envelopes, radii, ratios)
+
+
+def _envelopes(t, ratios, q_local, q_point):
+    """Geometric-mean constants of ``c t^q_local`` and ``c t^q_point``
+    against ``ratios``, and the worst factor by which each side is violated."""
+    log_t, log_ratios = np.log(t), np.log(ratios)
+    c_lower, c_upper = (float(np.exp(np.mean(log_ratios - q * log_t)))
+                        for q in (q_local, q_point))
+    worst_lower = float((c_lower * t**q_local / ratios).max())
+    worst_upper = float((ratios / (c_upper * t**q_point)).max())
+    return c_lower, c_upper, worst_lower, worst_upper
 
 
 @dataclass
@@ -205,15 +206,8 @@ def ahlfors_regularity(space, q, sample_nodes, radii) -> AhlforsReport:
         raise ValueError("need nonempty samples and radii")
     _check_positive(radii, "radii")
     _check_finite(q, "dimension exponent q")
-    lo, hi = np.inf, 0.0
-    for x in sample_nodes:
-        masses = space.ball_masses(int(x), radii)
-        if np.any(masses <= 0):
-            raise ValueError(f"zero-mass ball at node {int(x)}")
-        vals = masses / radii**q
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    return AhlforsReport(lo, hi)
+    vals = np.array([_ball_masses(space, x, radii) / radii**q for x in sample_nodes.tolist()])
+    return AhlforsReport(float(vals.min()), float(vals.max()))
 
 
 @dataclass
@@ -244,22 +238,21 @@ def analyze_dimension(space, sample_nodes, r_max, point_nodes=None,
     point_nodes = np.atleast_1d(np.asarray(point_nodes, dtype=np.int64))
     if sample_nodes.size == 0 or point_nodes.size == 0:
         raise ValueError("need nonempty sample and point node sets")
-    if not 10.0 * _radius_floor(space) <= r_max < np.inf:
+    if not _radius_floor(space) <= r_max / 10.0 < np.inf:
         raise ValueError("r_max must be finite and at least 50 grid steps for a decade span")
     c = doubling_constant(space, sample_nodes, r_max)
     q_local = local_dimension(c)
-    radii = np.geomspace(r_max / 10.0, r_max, n_radii)
+    radii = np.geomspace(r_max / 10.0, r_max, n_radii)  # radii[-1] is r_max exactly
+    _check_sweep(radii, space)
     q_point, samples = {}, []
     worst_resid, lo_c, hi_c = 0.0, np.inf, 0.0
-    for x in point_nodes:
-        fit = pointwise_dimension(space, int(x), radii)
-        q_point[int(x)] = fit.slope
+    for x in point_nodes.tolist():
+        masses = _ball_masses(space, x, radii)
+        fit = fit_power_law(radii, masses)
+        q_point[x] = fit.slope
         worst_resid = max(worst_resid, fit.residual)
-        sandwich = check_volume_bounds(space, int(x), r_max, q_local, fit.slope,
-                                       radii=radii)
-        lo_c = min(lo_c, sandwich.c_lower)
-        hi_c = max(hi_c, sandwich.c_upper)
-        masses = space.ball_masses(int(x), radii)
-        samples.extend((int(x), float(r), float(m)) for r, m in zip(radii, masses))
+        lower, upper, _, _ = _envelopes(radii / r_max, masses / masses[-1], q_local, fit.slope)
+        lo_c, hi_c = min(lo_c, lower), max(hi_c, upper)
+        samples.extend((x, float(r), float(m)) for r, m in zip(radii, masses))
     return DimensionReport(c, q_local, q_point, worst_resid, lo_c, hi_c, radii, samples)
 

@@ -79,7 +79,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .bounds import estimate_ring
-from .dimension import _radius_floor
 from .profiles import p_energy, power_profile, radialize
 from .spaces import (
     _check_exponent,
@@ -87,6 +86,7 @@ from .spaces import (
     _check_node_ids,
     _check_positive,
     _check_radii,
+    _check_radius_floor,
 )
 
 __all__ = [
@@ -567,18 +567,16 @@ class SingletonLimit:
 def singleton_capacity_limit(space, center, p, R, radii, tol=1e-8) -> SingletonLimit:
     """Solve the ring capacity along a decreasing sequence of inner radii.
 
-    The radii must be strictly decreasing and below R.  The limit estimate
-    is the last capacity; ``last_relative_change`` quantifies how settled
-    the tail is.
+    The radii must be strictly decreasing, at least five grid steps and
+    below R.  The limit estimate is the last capacity;
+    ``last_relative_change`` quantifies how settled the tail is.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size < 2:
         raise ValueError("need at least two radii")
     if np.any(np.diff(radii) >= 0):
         raise ValueError("radii must be strictly decreasing")
-    if np.any(radii < _radius_floor(space) * (1.0 - 1e-12)):
-        raise ValueError("inner radii below 5 grid spacings cannot resolve the ring; "
-                         "refine the grid instead")
+    _check_radius_floor(radii, space, "inner radii")
     caps, converged = np.zeros(radii.size), np.zeros(radii.size, dtype=bool)
     for k, r in enumerate(radii):
         res = relative_capacity(space, center, float(r), R, p, tol=tol)

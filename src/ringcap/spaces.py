@@ -113,6 +113,15 @@ def _check_finite(values, name):  # an array, or anything np.isfinite takes
         raise ValueError(f"{name} must be finite")
 
 
+def _radius_floor(space):  # a ball under five grid steps holds a handful of nodes
+    return 5.0 * space.resolution
+
+
+def _check_radius_floor(radii, space, name="radii"):  # a radius or an array of them
+    if np.any(radii < _radius_floor(space)):
+        raise ValueError(f"{name} below five grid steps cannot resolve a ball")
+
+
 def _check_node_ids(ids, n):  # an id, or an array of them
     lo = hi = ids  # a single id takes no array, so a cached row costs nothing
     if isinstance(ids, np.ndarray):

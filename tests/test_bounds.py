@@ -316,6 +316,21 @@ def test_singleton_validation(line_fine):
         singleton_capacity_limit(line_fine, c, 2.0, 1.0, [0.2, 0.04])  # under 5h
 
 
+def test_the_five_step_floor_is_one_rule(line_fine):
+    # both entry points judge their smallest radius by one rule in spaces:
+    # five grid steps exactly is accepted, the float just below it is not
+    c = origin_node(line_fine)
+    floor = 5.0 * line_fine.resolution
+    below = math.nextafter(floor, 0.0)
+    assert pointwise_dimension(line_fine, c, [floor, 0.1, 0.2, 0.5]).slope > 0
+    out = singleton_capacity_limit(line_fine, c, 2.0, 1.0, [0.1, floor])
+    assert out.radii[-1] == floor and out.converged.all()
+    with pytest.raises(ValueError, match="below five grid steps"):
+        pointwise_dimension(line_fine, c, [below, 0.1, 0.2, 0.5])
+    with pytest.raises(ValueError, match="inner radii below five grid steps"):
+        singleton_capacity_limit(line_fine, c, 2.0, 1.0, [0.1, below])
+
+
 def test_potential_rejects_a_coincident_node():
     # nodes 1 and 2 share x = 0.1, so B(x_1, d(x_1, x_2)) = B(x_1, 0) is
     # empty; the potential must raise instead of reading the total mass
@@ -323,7 +338,7 @@ def test_potential_rejects_a_coincident_node():
     edges = [[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]]
     sp = DiscreteSpace(coords, np.ones(5), edges, np.full(5, 0.1), "euclidean", 0.1)
     fld = field_from_values(sp, np.array([1.0, 0.5, 0.5, 0.25, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ball masses at node 1 must be finite and positive"):
         riesz_potential(sp, fld, 1, 0, 0.35, 2.0)
 
 

@@ -350,6 +350,12 @@ def test_green_ladder_is_checked_before_any_solve(tmp_path, capsys, monkeypatch,
     assert not solves and len(builds) == 1  # the task's own space only
 
 
+def test_green_on_a_domain_without_boundary_exits_2(tmp_path, capsys):
+    # R covers the whole patch, so the pole condenser has no capacity
+    assert_rejected(tmp_path, "green", grid_cfg({"center": [0.0, 0.0], "R": 5.0, "p": 2.0}))
+    assert "condenser capacity vanished" in capsys.readouterr().err
+
+
 def test_unrefined_ladder_exits_2_and_writes_nothing(tmp_path):
     assert_rejected(tmp_path, "green", line_cfg(
         {"center": [0.0], "R": 1.0, "p": 2.0, "q_center": 1.0,

@@ -123,6 +123,83 @@ def test_ahlfors_double_cone_stays_bounded(cone2):
     assert rep.spread <= 2.5
 
 
+@pytest.fixture(scope="module")
+def weighted_fine():
+    w = build_euclidean_grid(2, 1.05, 0.01, alpha=1.0)
+    return w, [w.nearest_node([0.0, 0.0]), w.nearest_node([0.65, 0.0])]
+
+
+def count_mass_queries(monkeypatch):
+    calls = {"ball_masses": 0, "ball_mass": 0}
+    for name in calls:
+        query = getattr(DiscreteSpace, name)
+
+        def counted(*args, _query=query, _name=name, **kwargs):
+            calls[_name] += 1
+            return _query(*args, **kwargs)
+
+        monkeypatch.setattr(DiscreteSpace, name, counted)
+    return calls
+
+
+def test_each_node_is_swept_once(weighted_fine, monkeypatch):
+    w, points = weighted_fine
+    calls = count_mass_queries(monkeypatch)
+    samples = [points[0], w.nearest_node([0.3, -0.2]), w.nearest_node([-0.4, 0.1])]
+    analyze_dimension(w, samples, 0.5, point_nodes=points, n_radii=6)
+    assert calls == {"ball_masses": len(samples) + len(points), "ball_mass": 0}
+    calls.update(ball_masses=0)
+    check_volume_bounds(w, points[0], 0.5, 2.0, 3.0)
+    assert calls == {"ball_masses": 1, "ball_mass": 0}
+
+
+def test_analyze_dimension_equals_its_parts_bit_for_bit(weighted_fine):
+    w, points = weighted_fine
+    rep = analyze_dimension(w, points, 0.5, point_nodes=points, n_radii=6)
+    fits = [pointwise_dimension(w, x, rep.radii) for x in points]
+    sandwiches = [check_volume_bounds(w, x, 0.5, rep.q_local, fit.slope, radii=rep.radii)
+                  for x, fit in zip(points, fits)]
+    assert rep.q_point == {x: fit.slope for x, fit in zip(points, fits)}
+    assert rep.fit_residual == max(fit.residual for fit in fits)
+    assert rep.lower_c == min(sw.c_lower for sw in sandwiches)
+    assert rep.upper_c == max(sw.c_upper for sw in sandwiches)
+    assert rep.samples == [(x, float(r), float(m)) for x in points
+                           for r, m in zip(rep.radii, w.ball_masses(x, rep.radii))]
+
+
+@pytest.fixture(scope="module")
+def holed_plane(grid2_fine):
+    # no mass on B(c, 0.1): every sweep from c starts with an empty ball
+    c = origin_node(grid2_fine)
+    mass = grid2_fine.mass.copy()
+    mass[grid2_fine.distances_from(c) < 0.1] = 0.0
+    holed = DiscreteSpace(grid2_fine.coords, mass, grid2_fine.edges,
+                          grid2_fine.edge_lengths, "euclidean", 0.01)
+    return holed, c, grid2_fine.nearest_node([0.5, 0.5])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda s, c, off: doubling_constant(s, [c], 1.0),
+    lambda s, c, off: pointwise_dimension(s, c, np.geomspace(0.05, 0.5, 4)),
+    lambda s, c, off: check_volume_bounds(s, c, 0.9, 2.0, 2.0),
+    lambda s, c, off: ahlfors_regularity(s, 2.0, [off, c], [0.05, 0.5]),
+    lambda s, c, off: analyze_dimension(s, [c], 0.5),  # in its doubling sweep
+    lambda s, c, off: analyze_dimension(s, [off], 0.5, point_nodes=[c]),
+], ids=["doubling", "pointwise", "volume_bounds", "ahlfors", "analyze_doubling",
+        "analyze_points"])
+def test_a_zero_mass_ball_names_its_node(holed_plane, entry):
+    holed, c, off = holed_plane
+    with pytest.raises(ValueError, match=f"ball masses at node {c} must be finite and positive"):
+        entry(holed, c, off)
+
+
+def test_ahlfors_rejects_empty_inputs(grid2):
+    c = origin_node(grid2)
+    for nodes, radii in (([], [0.25, 0.5]), ([c], [])):
+        with pytest.raises(ValueError, match="need nonempty samples and radii"):
+            ahlfors_regularity(grid2, 2.0, nodes, radii)
+
+
 def test_volume_bounds_flag_gap_in_growth(grid2_fine):
     c = origin_node(grid2_fine)
     clean = check_volume_bounds(grid2_fine, c, 0.9, 2.0, 2.0)
@@ -148,6 +225,9 @@ def test_volume_bounds_validation(grid2_fine):
 def test_power_law_fit_validation():
     with pytest.raises(ValueError):
         fit_power_law([1.0], [2.0])
+    for x, y in (([1.0, 2.0, 4.0], [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            fit_power_law(x, y)
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0], [0.0, 1.0])
     fit = fit_power_law([1.0, 2.0, 4.0], [3.0, 12.0, 48.0])

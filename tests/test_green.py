@@ -157,6 +157,23 @@ def test_unreachable_levels_are_skipped_with_notice(plane_green):
     assert rep.passed  # judged on the surviving pair
 
 
+def test_levels_all_above_the_pole_value_fail_with_a_notice_each(plane_green):
+    g, domain, c, sf = plane_green
+    m = sf.max_value
+    rep = check_level_sets(g, sf, [(0.0, 2.0 * m), (0.5 * m, 3.0 * m)])
+    assert rep.band == np.inf and not rep.passed
+    assert len(rep.notices) == 2 and all("above the pole value" in n for n in rep.notices)
+    assert [entry[2:] for entry in rep.entries] == [(None, None), (None, None)]
+    assert rep.results == [None, None]
+
+
+def test_a_domain_without_boundary_has_no_green_function(grid2):
+    # the whole space as domain leaves no boundary to hold u at 0
+    c = origin_node(grid2)
+    with pytest.raises(ValueError, match="condenser capacity vanished"):
+        build_green(grid2, np.arange(grid2.n_nodes), c, 2.0)
+
+
 def test_level_pair_validation(plane_green):
     g, domain, c, sf = plane_green
     with pytest.raises(ValueError):

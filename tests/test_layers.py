@@ -21,7 +21,7 @@ RANK = dict({name: k for k, name in enumerate(ORDER)},
 ROOT_NAMES = {"__version__"}  # what a module may take from the package root
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 RULES = ["_check_exponent", "_check_radii", "_check_positive", "_check_finite",
-         "_check_dimension", "_check_node_ids"]
+         "_check_dimension", "_check_node_ids", "_check_radius_floor"]
 
 
 def _tree(module):
